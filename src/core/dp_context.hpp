@@ -29,17 +29,6 @@ struct OptimizationResult {
   ScanStats scan{};
 };
 
-/// Memory layout of the dense O(n^3) level-DP tables.
-///
-/// kRowMajor keeps each (d1, m1, ·) row contiguous (the layout the value
-/// scans were written for).  kTiled blocks every (m1, v2) plane into 8x8
-/// tiles so walks along EITHER axis touch full cache lines -- the m1-scan
-/// of the E_mem pass and the sparse reconstruction reads stay
-/// cache-friendly once a slab plane outgrows L2.  The DP itself runs on a
-/// contiguous thread-local scratch plane either way, so the two layouts
-/// produce bitwise-identical tables and plans.
-enum class TableLayout { kRowMajor, kTiled };
-
 /// Precomputed chain/cost/interval data shared by all DP levels.
 class DpContext {
  public:
@@ -47,8 +36,8 @@ class DpContext {
 
   /// `max_n` bounds the O(n^3) table memory of the multi-level DPs; the
   /// default (900) corresponds to ~8.8 GiB across the value + argmin
-  /// tables of the largest DP.  The tiled layout and the scratch-plane
-  /// hot path keep that regime compute-bound; pass a larger max_n
+  /// tables of the largest DP.  The scratch-plane hot path keeps that
+  /// regime compute-bound; pass a larger max_n
   /// explicitly if you have the memory.  `build_row_tables = false`
   /// skips the SegmentTables row arrays that only the ADMV partial
   /// solver reads (see analysis::SegmentTables).
@@ -126,29 +115,6 @@ class DpContext {
     return has_simd_override_ ? simd_override_ : simd::active_tier();
   }
 
-  /// Minimum slab height (rows = n - d1) at which the multi-level DPs
-  /// split a slab's per-j row work across workers instead of assigning
-  /// the whole slab to one (see run_level_dp_impl).  0 disables
-  /// splitting.  The default comes from CHAINCKPT_INTRA_SLAB when set,
-  /// else 256.  Results are bitwise identical for every value.
-  void set_intra_slab_threshold(std::size_t rows) noexcept {
-    intra_slab_threshold_ = rows;
-  }
-  std::size_t intra_slab_threshold() const noexcept {
-    return intra_slab_threshold_;
-  }
-
-  /// j-steps between sub-slab checkpoint granule commits while a split
-  /// slab runs on a SolveCheckpoint; 0 (the default) picks an automatic
-  /// spacing.  Granules only bound re-execution after an interruption --
-  /// any value yields bitwise-identical results.
-  void set_checkpoint_granule(std::size_t steps) noexcept {
-    checkpoint_granule_ = steps;
-  }
-  std::size_t checkpoint_granule() const noexcept {
-    return checkpoint_granule_;
-  }
-
   std::size_t n() const noexcept { return chain_.size(); }
   const chain::TaskChain& chain() const noexcept { return chain_; }
   const platform::CostModel& costs() const noexcept { return costs_; }
@@ -163,10 +129,6 @@ class DpContext {
     return analysis::make_interval(*table_, i, j);
   }
 
-  /// Process default for intra_slab_threshold(): CHAINCKPT_INTRA_SLAB
-  /// parsed once, else 256.
-  static std::size_t default_intra_slab_threshold() noexcept;
-
  private:
   chain::TaskChain chain_;
   platform::CostModel costs_;
@@ -176,8 +138,6 @@ class DpContext {
   SolveCheckpoint* checkpoint_ = nullptr;
   simd::SimdTier simd_override_ = simd::SimdTier::kScalar;
   bool has_simd_override_ = false;
-  std::size_t intra_slab_threshold_ = default_intra_slab_threshold();
-  std::size_t checkpoint_granule_ = 0;
   /// shared_ptr so a BatchSolver cache entry and every context borrowing
   /// it stay valid independently of each other's lifetime; the
   /// build-your-own constructors simply own the single reference.

@@ -186,14 +186,12 @@ struct PartialSegmentSolver {
 }  // namespace
 
 OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
-                                         const platform::CostModel& costs,
-                                         TableLayout layout) {
+                                         const platform::CostModel& costs) {
   const DpContext ctx(chain, costs);
-  return optimize_with_partial(ctx, layout);
+  return optimize_with_partial(ctx);
 }
 
-OptimizationResult optimize_with_partial(const DpContext& ctx,
-                                         TableLayout layout) {
+OptimizationResult optimize_with_partial(const DpContext& ctx) {
   CHAINCKPT_REQUIRE(ctx.seg_tables().has_rows(),
                     "ADMV needs a context built with row tables");
   // Entry checkpoint; the per-(d1, j) checkpoints of the O(n^6) engine
@@ -207,9 +205,9 @@ OptimizationResult optimize_with_partial(const DpContext& ctx,
   SolveCheckpoint* ckpt = ctx.checkpoint();
   std::unique_ptr<detail::LevelTables> local;
   if (ckpt != nullptr) {
-    ckpt->begin_run(n, layout, /*keep_verif_values=*/true, ctx.scan_mode());
+    ckpt->begin_run(n, /*keep_verif_values=*/true, ctx.scan_mode());
   } else {
-    local = std::make_unique<detail::LevelTables>(n, layout);
+    local = std::make_unique<detail::LevelTables>(n);
   }
   detail::LevelTables& tables = ckpt != nullptr ? ckpt->tables() : *local;
   const PartialSegmentSolver solver{ctx};

@@ -9,11 +9,10 @@
 namespace chainckpt::core {
 
 OptimizationResult optimize_two_level(const chain::TaskChain& chain,
-                                      const platform::CostModel& costs,
-                                      TableLayout layout) {
+                                      const platform::CostModel& costs) {
   const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
                       /*build_row_tables=*/false);
-  return optimize_two_level(ctx, layout);
+  return optimize_two_level(ctx);
 }
 
 namespace {
@@ -24,8 +23,7 @@ namespace {
 /// reproduces the historic loop token for token; the vector tiers are
 /// bitwise identical to it by the kernel determinism contract.
 template <typename K>
-OptimizationResult optimize_two_level_impl(const DpContext& ctx,
-                                           TableLayout layout) {
+OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   // ADMV* never re-reads E_verif values (plan extraction needs only the
   // argmin tables), so skip the O(n^3) value table entirely.  With a
   // checkpoint attached the tables live inside it so committed slabs
@@ -33,11 +31,10 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx,
   SolveCheckpoint* ckpt = ctx.checkpoint();
   std::unique_ptr<detail::LevelTables> local;
   if (ckpt != nullptr) {
-    ckpt->begin_run(ctx.n(), layout, /*keep_verif_values=*/false,
-                    ctx.scan_mode());
+    ckpt->begin_run(ctx.n(), /*keep_verif_values=*/false, ctx.scan_mode());
   } else {
     local = std::make_unique<detail::LevelTables>(
-        ctx.n(), layout, /*keep_verif_values=*/false);
+        ctx.n(), /*keep_verif_values=*/false);
   }
   detail::LevelTables& tables = ckpt != nullptr ? ckpt->tables() : *local;
 
@@ -71,19 +68,18 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx,
 
 }  // namespace
 
-OptimizationResult optimize_two_level(const DpContext& ctx,
-                                      TableLayout layout) {
+OptimizationResult optimize_two_level(const DpContext& ctx) {
   // Entry checkpoint: a token that fired while the job sat in a queue
   // aborts before the O(n^3) tables are even allocated.  The per-step
   // checkpoints live in run_level_dp_impl.
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   switch (ctx.simd_tier()) {
     case simd::SimdTier::kAvx512:
-      return optimize_two_level_impl<simd::Avx512Kernels>(ctx, layout);
+      return optimize_two_level_impl<simd::Avx512Kernels>(ctx);
     case simd::SimdTier::kAvx2:
-      return optimize_two_level_impl<simd::Avx2Kernels>(ctx, layout);
+      return optimize_two_level_impl<simd::Avx2Kernels>(ctx);
     default:
-      return optimize_two_level_impl<simd::ScalarKernels>(ctx, layout);
+      return optimize_two_level_impl<simd::ScalarKernels>(ctx);
   }
 }
 

@@ -64,8 +64,7 @@ OptimizationResult optimize(Algorithm algorithm,
   throw std::invalid_argument("unknown algorithm enum value");
 }
 
-OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx,
-                            TableLayout layout) {
+OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx) {
   switch (algorithm) {
     case Algorithm::kAD:
       return optimize_single_level(ctx,
@@ -73,9 +72,9 @@ OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx,
     case Algorithm::kADVstar:
       return optimize_single_level(ctx);
     case Algorithm::kADMVstar:
-      return optimize_two_level(ctx, layout);
+      return optimize_two_level(ctx);
     case Algorithm::kADMV:
-      return optimize_with_partial(ctx, layout);
+      return optimize_with_partial(ctx);
     case Algorithm::kPeriodic:
       return optimize_periodic(ctx.chain(), ctx.costs());
     case Algorithm::kDaly:

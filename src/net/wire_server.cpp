@@ -224,7 +224,6 @@ std::map<std::uint64_t, TenantEdgeStats> WireServer::tenant_stats() const {
   return state_->governor.stats();
 }
 
-TenantGovernor& WireServer::governor() noexcept { return state_->governor; }
 
 namespace {
 

@@ -41,7 +41,7 @@ std::string hex64(std::uint64_t v);
 
 /// Digest of one solve: FNV-1a over the canonical plan text plus the raw
 /// IEEE-754 bits of the objective.  Bitwise solver changes -- kernels,
-/// pruning, layouts -- show up here immediately.
+/// pruning -- show up here immediately.
 std::uint64_t result_digest(const plan::ResiliencePlan& plan,
                             double expected_makespan);
 

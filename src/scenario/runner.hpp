@@ -2,7 +2,7 @@
 // lanes the battery checks:
 //
 //   DP lane       -- every algorithm in the spec solved under several
-//                    (scan mode x SIMD tier x table layout) configurations;
+//                    (scan mode x SIMD tier) configurations;
 //                    all must be bit-identical (plan bytes + objective
 //                    bits), pinning the determinism contract per cell.
 //   Sim lane      -- Monte-Carlo replicas of the reference plan under the

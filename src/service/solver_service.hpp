@@ -14,7 +14,9 @@
 //     the solvers' thread-local arenas live on, so scratch reuse and
 //     release_scratch() behave exactly as in the batch path, and each
 //     job's own slab parallelism degrades to serial inside the pool just
-//     like a BatchSolver batch;
+//     like a BatchSolver batch (a one-worker pool is a count-1 loop that
+//     runs outside any parallel region, so its job's slab wave still
+//     fans out over every core);
 //   * dispatch under budget and priority: a worker takes the
 //     highest-priority queued job that fits the remaining admission
 //     budget, FIFO within a class (an idle pool always takes the best
@@ -69,7 +71,7 @@ struct ServiceOptions {
   /// concurrency is min(workers, OpenMP threads) -- see the pool note in
   /// the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: table layout, scan mode,
+  /// Passed through to the embedded BatchSolver: scan mode,
   /// max_n, the LRU cache budget, and the interruption-checkpoint policy
   /// (keep_checkpoints/checkpoint_budget_bytes -- what makes preempted
   /// jobs resume instead of restart).

@@ -131,26 +131,6 @@ TEST(Determinism, SerialAndParallelRunsAgreeExactly) {
   }
 }
 
-/// The tiled table layout must be a pure storage change: same objective,
-/// same plan, bit for bit.
-TEST(Determinism, TiledLayoutMatchesRowMajor) {
-  util::Xoshiro256 rng(0x711ED);
-  const platform::CostModel costs(platform::hera());
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto chain = chain::make_random(22, 25000.0, rng);
-    const auto row2 = optimize_two_level(chain, costs, TableLayout::kRowMajor);
-    const auto tile2 = optimize_two_level(chain, costs, TableLayout::kTiled);
-    EXPECT_DOUBLE_EQ(row2.expected_makespan, tile2.expected_makespan);
-    EXPECT_EQ(row2.plan.compact_string(), tile2.plan.compact_string());
-
-    const auto rowp =
-        optimize_with_partial(chain, costs, TableLayout::kRowMajor);
-    const auto tilep = optimize_with_partial(chain, costs, TableLayout::kTiled);
-    EXPECT_DOUBLE_EQ(rowp.expected_makespan, tilep.expected_makespan);
-    EXPECT_EQ(rowp.plan.compact_string(), tilep.plan.compact_string());
-  }
-}
-
 /// One Dense-vs-Pruned equivalence case.  The coefficient tables are
 /// built once and shared by both contexts (the BatchSolver borrow path),
 /// so the comparison isolates the scan mode.

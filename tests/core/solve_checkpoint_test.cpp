@@ -11,6 +11,8 @@
 
 #include <cstdlib>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "../../bench/bench_common.hpp"
 #include "chain/patterns.hpp"
@@ -31,7 +33,7 @@ OptimizationResult solve_plain(Algorithm algorithm,
   DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
                 algorithm == Algorithm::kADMV);
   ctx.set_scan_mode(mode);
-  return optimize(algorithm, ctx, TableLayout::kRowMajor);
+  return optimize(algorithm, ctx);
 }
 
 void expect_same_scan(const ScanStats& a, const ScanStats& b) {
@@ -66,7 +68,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
     ctx.set_checkpoint(&ckpt);
     try {
       const OptimizationResult result =
-          optimize(algorithm, ctx, TableLayout::kRowMajor);
+          optimize(algorithm, ctx);
       // Completed in one go; the checkpoint must not have perturbed it.
       EXPECT_EQ(result.expected_makespan, baseline.expected_makespan);
       EXPECT_EQ(result.plan, baseline.plan);
@@ -85,7 +87,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
   ctx.set_scan_mode(mode);
   ctx.set_checkpoint(&ckpt);
   const OptimizationResult resumed =
-      optimize(algorithm, ctx, TableLayout::kRowMajor);
+      optimize(algorithm, ctx);
 
   EXPECT_EQ(resumed.expected_makespan, baseline.expected_makespan)
       << "k=" << k;
@@ -123,28 +125,29 @@ void sweep_interrupts(Algorithm algorithm, const chain::TaskChain& chain,
   EXPECT_GE(interrupted_runs, 2u);
 }
 
-class SerialGuard {
+/// Forces the worker pool to `workers` for the guard's scope.
+class ParallelismGuard {
  public:
-  SerialGuard() { util::set_parallelism(1); }
-  ~SerialGuard() { util::set_parallelism(0); }
+  explicit ParallelismGuard(int workers) { util::set_parallelism(workers); }
+  ~ParallelismGuard() { util::set_parallelism(0); }
 };
 
 TEST(SolveCheckpoint, AdmvStarEveryBoundaryBitIdentical) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   const platform::CostModel costs{platform::hera()};
   sweep_interrupts(Algorithm::kADMVstar, chain::make_uniform(32, 25000.0),
                    costs, ScanMode::kDense, 1);
 }
 
 TEST(SolveCheckpoint, AdmvStarPrunedModeCountersSurviveResume) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   const platform::CostModel costs{platform::hera()};
   sweep_interrupts(Algorithm::kADMVstar, chain::make_decrease(32, 25000.0),
                    costs, ScanMode::kMonotonePruned, 3);
 }
 
 TEST(SolveCheckpoint, AdmvEveryBoundaryBitIdentical) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   const platform::CostModel costs{platform::atlas()};
   // ADMV at n = 32 is O(n^6) per resume, so the tier-1 sweep strides the
   // boundaries; the slow battery below walks them densely at n = 100.
@@ -153,21 +156,53 @@ TEST(SolveCheckpoint, AdmvEveryBoundaryBitIdentical) {
 }
 
 TEST(SolveCheckpoint, ParallelInterruptsResumeBitIdentical) {
-  // Same property with the worker pool live: the trip lands on an
-  // arbitrary worker mid-slab-wave, which is exactly the service's
-  // preemption shape.
+  // The slab wave at several worker counts: every count must reproduce
+  // the serial solve bit for bit (objective, plan, scan counters), and
+  // an interrupt -- which lands on an arbitrary worker mid-wave, exactly
+  // the service's preemption shape -- must resume to the same bits.
+  struct Case {
+    Algorithm algorithm;
+    ScanMode mode;
+    chain::TaskChain chain;
+    std::vector<std::int64_t> trips;
+  };
   const platform::CostModel costs{platform::hera()};
-  const auto chain = chain::make_uniform(48, 25000.0);
-  const OptimizationResult baseline =
-      solve_plain(Algorithm::kADMVstar, chain, costs, ScanMode::kDense);
-  for (std::int64_t k : {1, 97, 400, 900}) {
-    interrupt_and_resume(Algorithm::kADMVstar, chain, costs,
-                         ScanMode::kDense, k, baseline);
+  const Case cases[] = {
+      {Algorithm::kADMVstar, ScanMode::kDense,
+       chain::make_uniform(48, 25000.0), {1, 97, 400, 900}},
+      {Algorithm::kADMVstar, ScanMode::kMonotonePruned,
+       chain::make_decrease(48, 25000.0), {1, 400, 900}},
+      {Algorithm::kADMV, ScanMode::kDense, chain::make_highlow(20, 25000.0),
+       {1, 120}},
+  };
+  for (const Case& c : cases) {
+    OptimizationResult serial;
+    {
+      const ParallelismGuard guard(1);
+      serial = solve_plain(c.algorithm, c.chain, costs, c.mode);
+    }
+    for (const int workers : {1, 2, 3, 8}) {
+      const ParallelismGuard guard(workers);
+      const OptimizationResult result =
+          solve_plain(c.algorithm, c.chain, costs, c.mode);
+      EXPECT_EQ(result.expected_makespan, serial.expected_makespan)
+          << to_string(c.algorithm) << " workers=" << workers;
+      EXPECT_EQ(result.plan, serial.plan)
+          << to_string(c.algorithm) << " workers=" << workers;
+      expect_same_scan(result.scan, serial.scan);
+      for (const std::int64_t k : c.trips) {
+        EXPECT_TRUE(interrupt_and_resume(c.algorithm, c.chain, costs, c.mode,
+                                         k, serial))
+            << to_string(c.algorithm) << " workers=" << workers
+            << " k=" << k;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 
 TEST(SolveCheckpoint, RandomPlatformPropertySweep) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   util::Xoshiro256 rng(bench::kBenchSeed);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 32;
@@ -192,7 +227,7 @@ TEST(SolveCheckpoint, RandomPlatformPropertySweep) {
 }
 
 TEST(SolveCheckpoint, RandomPlatformN100) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   util::Xoshiro256 rng(bench::kBenchSeed ^ 0x100);
   const std::size_t n = 100;
   const platform::Platform p = bench::random_platform(rng);
@@ -216,7 +251,7 @@ TEST(SolveCheckpoint, SlowAdmvN100RandomPlatform) {
     GTEST_SKIP() << "ADMV n=100 interrupt battery; set "
                     "CHAINCKPT_SLOW_TESTS=1";
   }
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   util::Xoshiro256 rng(bench::kBenchSeed ^ 0x64);
   const std::size_t n = 100;
   const platform::Platform p = bench::random_platform(rng);
@@ -234,7 +269,7 @@ TEST(SolveCheckpoint, SlowAdmvN100RandomPlatform) {
 }
 
 TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   const platform::CostModel costs{platform::hera()};
   const auto chain32 = chain::make_uniform(32, 25000.0);
   SolveCheckpoint ckpt;
@@ -244,7 +279,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
     token.trip_after_polls(200);
     ctx.set_cancel_token(&token);
     ctx.set_checkpoint(&ckpt);
-    EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx, TableLayout::kRowMajor),
+    EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx),
                  SolveInterrupted);
   }
   ASSERT_TRUE(ckpt.has_progress());
@@ -254,7 +289,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   DpContext ctx(chain20, costs, DpContext::kDefaultMaxN, false);
   ctx.set_checkpoint(&ckpt);
   const OptimizationResult result =
-      optimize(Algorithm::kADMVstar, ctx, TableLayout::kRowMajor);
+      optimize(Algorithm::kADMVstar, ctx);
   EXPECT_FALSE(ckpt.last_run_resumed());
   EXPECT_EQ(ckpt.last_run_slabs_skipped(), 0u);
   const OptimizationResult fresh =
@@ -264,7 +299,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
 }
 
 TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
-  const SerialGuard serial;  // deterministic slab progress at the trip
+  const ParallelismGuard serial(1);  // deterministic slab progress at the trip
   const std::size_t n = 80;
   const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(n, 25000.0),
                      platform::CostModel{platform::hera()}};
@@ -299,7 +334,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
 }
 
 TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   BatchOptions options;
   options.checkpoint_budget_bytes = 1;  // nothing survives the budget
   BatchSolver solver(options);
@@ -315,7 +350,7 @@ TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
 }
 
 TEST(SolveCheckpoint, DisabledCheckpointsKeepNothing) {
-  const SerialGuard serial;
+  const ParallelismGuard serial(1);
   BatchOptions options;
   options.keep_checkpoints = false;
   BatchSolver solver(options);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -14,7 +15,6 @@
 #include "core/batch_solver.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
-#include "util/parallel.hpp"
 
 namespace chainckpt::service {
 namespace {
@@ -351,19 +351,19 @@ TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
   const platform::CostModel costs{platform::hera()};
   const core::BatchJob victim_work{core::Algorithm::kADMVstar,
                                    chain::make_uniform(250, 25000.0), costs};
-  // Time an identical serial solve first: the service worker runs the
-  // victim serially inside the pool, so this measures the victim's
-  // in-service runtime on THIS build (Release or sanitized).  Sleeping a
-  // quarter of it below lands the preemption mid-solve -- late enough
-  // that slabs have committed, early enough that the victim is still
-  // running.
+  // Measure an identical solve first, run the way the service runs the
+  // victim: a workers = 1 pool is a count-1 parallel_for, which runs its
+  // body outside any parallel region, so the victim's slab wave fans out
+  // over every core -- exactly like this direct call.  The measure is
+  // process CPU time, i.e. work done, so a loaded host that stretches
+  // wall time does not move the preemption point below.  Half the
+  // solve's work lands mid-solve: the first slabs commit at about a
+  // fifth of it (table setup plus the tallest slabs), and the last slab
+  // finishes at all of it.
   core::BatchSolver reference;
-  util::set_parallelism(1);
-  const auto reference_start = std::chrono::steady_clock::now();
+  const std::clock_t reference_start = std::clock();
   const auto expected = reference.solve_job(victim_work);
-  const auto serial_duration =
-      std::chrono::steady_clock::now() - reference_start;
-  util::set_parallelism(0);
+  const std::clock_t reference_cpu = std::clock() - reference_start;
 
   ServiceOptions options;
   options.workers = 1;
@@ -375,7 +375,11 @@ TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
     std::this_thread::sleep_for(milliseconds(1));
   }
   ASSERT_EQ(service.poll(victim).state, JobState::kRunning);
-  std::this_thread::sleep_for(serial_duration / 4);
+  const std::clock_t victim_start = std::clock();
+  while (std::clock() - victim_start < reference_cpu / 2 &&
+         service.poll(victim).state == JobState::kRunning) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
   // The urgent class is uncalibrated, so its deadline counts as at-risk
   // and the dispatcher displaces the running batch job.
   const JobHandle urgent = service.submit(
@@ -560,21 +564,29 @@ TEST(SolverServicePlanCache, ProbableHitSkipsTheDeadlineFeasibilityScreen) {
   const JobHandle calibrate = service.submit({slow});
   ASSERT_EQ(service.wait(calibrate).state, JobState::kSucceeded);
 
-  // A different (uncached) chain of the same class with a 1 ms deadline:
-  // the calibrated estimate screens it out.
+  // A different (uncached) chain of the same class, with a deadline just
+  // under the calibrated estimate: the screen rejects it.  The deadline
+  // is derived from the estimate rather than fixed, so the cached
+  // submission below has the whole uncached solve time to be served --
+  // a fixed 1 ms deadline could expire in the queue on a loaded host.
   const core::BatchJob cold{core::Algorithm::kADMV,
                             chain::make_uniform(41, 25000.0),
                             platform::CostModel{platform::atlas()}};
+  const double estimate_s =
+      service.estimate(core::Algorithm::kADMV, 41).seconds *
+      AdmissionConfig{}.deadline_headroom;
+  const auto deadline = std::chrono::duration_cast<milliseconds>(
+      std::chrono::duration<double>(0.9 * estimate_s));
+  ASSERT_GT(deadline.count(), 0);
   const JobHandle infeasible =
-      service.submit({cold, SubmitOptions{milliseconds(1)}});
+      service.submit({cold, SubmitOptions{deadline}});
   const JobStatus rejected = service.poll(infeasible);
   ASSERT_EQ(rejected.state, JobState::kRejected);
   EXPECT_EQ(rejected.reject_reason, RejectReason::kDeadlineInfeasible);
 
-  // The CACHED chain under the same hopeless deadline sails through: a
+  // The CACHED chain under the same infeasible deadline sails through: a
   // hit costs microseconds, so the screen would reject free work.
-  const JobHandle cached =
-      service.submit({slow, SubmitOptions{milliseconds(1)}});
+  const JobHandle cached = service.submit({slow, SubmitOptions{deadline}});
   const JobStatus status = service.wait(cached);
   EXPECT_EQ(status.state, JobState::kSucceeded);
   EXPECT_GE(service.stats().plan_cache.exact_hits, 1u);

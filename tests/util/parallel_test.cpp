@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -61,23 +60,11 @@ TEST(ParallelFor, ResultIndependentOfThreadCount) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelFor, TypeErasedOverloadStillWorks) {
-  // ABI-stable entry point: an actual std::function must resolve to the
-  // non-template overload and behave identically to the template.
-  std::vector<std::atomic<int>> visits(64);
-  const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    visits[i].fetch_add(1);
-  };
-  parallel_for(0, visits.size(), body);
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i].load(), 1);
-  }
-}
-
 TEST(ParallelFor, MoveOnlyCallableRequiresZeroErasureTemplate) {
   // A move-only closure cannot convert to std::function, so this call
-  // compiles ONLY through the zero-erasure template overload -- deleting
-  // that overload breaks this test at compile time.
+  // compiles ONLY through the zero-erasure template -- routing
+  // parallel_for through a type-erased body breaks this test at compile
+  // time.
   auto counter = std::make_unique<std::atomic<int>>(0);
   std::atomic<int>* const observed = counter.get();
   const auto move_only = [c = std::move(counter)](std::size_t) {
@@ -86,7 +73,7 @@ TEST(ParallelFor, MoveOnlyCallableRequiresZeroErasureTemplate) {
   // (std::function's converting constructor is not SFINAE-constrained on
   // copyability in C++17, so this can't be a static_assert: the guard is
   // that erasing move_only is a hard instantiation error, which this call
-  // would trigger if only the type-erased overload existed.)
+  // would trigger if parallel_for took a std::function.)
   parallel_for(0, 4, move_only);
   EXPECT_EQ(observed->load(), 4);
 }
