@@ -100,7 +100,7 @@ struct BatchOptions {
   /// of the same workload (same tables key, algorithm, and scan mode)
   /// resumes it, re-executing only the slabs the interrupted run
   /// did not finish, with bit-identical results.  The retained state is
-  /// the job's O(n^2)-O(n^3) argmin/value tables, so a service that
+  /// the job's level tables (see detail::LevelTables), so a service that
   /// interrupts large solves should bound it with
   /// checkpoint_budget_bytes; release_scratch() always drops it.
   bool keep_checkpoints = true;

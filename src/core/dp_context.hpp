@@ -35,9 +35,9 @@ class DpContext {
   static constexpr std::size_t kDefaultMaxN = 900;
 
   /// `max_n` bounds the O(n^3) table memory of the multi-level DPs; the
-  /// default (900) corresponds to ~8.8 GiB across the value + argmin
-  /// tables of the largest DP.  The scratch-plane hot path keeps that
-  /// regime compute-bound; pass a larger max_n
+  /// default (900) corresponds to ~0.47 GiB of level tables for ADMV*
+  /// and ~1.4 GiB for ADMV (see detail::LevelTables).  The scratch-plane
+  /// hot path keeps that regime compute-bound; pass a larger max_n
   /// explicitly if you have the memory.  `build_row_tables = false`
   /// skips the SegmentTables row arrays that only the ADMV partial
   /// solver reads (see analysis::SegmentTables).

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/cancellation.hpp"
@@ -40,18 +41,32 @@
 
 namespace chainckpt::core::detail {
 
+/// T(m) = m(m+1)(m+2)/6, the number of triples d1 <= m1 <= v2 < m: the
+/// packed O(n^3) tables below hold tetra_count(n + 1) entries.
+constexpr std::size_t tetra_count(std::size_t m) noexcept {
+  return m * (m + 1) * (m + 2) / 6;
+}
+
 struct LevelTables {
   std::size_t n = 0;
-  /// E_verif(d1, m1, v2); valid for d1<=m1<=v2.  Flattened row-major per
-  /// idx3().  Empty when constructed with keep_verif_values = false: the
+  /// E_verif(d1, m1, v2) and its v1 argmin, packed over the d1<=m1<=v2
+  /// tetrahedron the DP writes (idx3()): slab d1 owns one contiguous
+  /// triangle of rows m1 in [d1, n], each holding columns v2 in [m1, n].
+  /// Both are allocated uninitialized (plain new[]: make_unique would
+  /// zero them), so each page is first touched by the worker whose slab
+  /// writes it rather than by a serial fill;
+  /// best_v1's diagonal v2 = m1 is never written and never read.
+  ///
+  /// everif is null when constructed with keep_verif_values = false: the
   /// DP itself reads E_verif only from its slab scratch plane, so the
   /// O(n^3) value table is needed solely by consumers that re-derive
   /// segment interiors after the fact (ADMV's partial reconstruction) --
   /// ADMV* skips it, which removes roughly two-thirds of its peak memory
   /// and a hot-loop store stream.
-  std::vector<double> everif;
-  std::vector<std::int32_t> best_v1;
-  /// E_mem(d1, m2), flattened over (n+1)^2; valid for d1<=m2.
+  std::unique_ptr<double[]> everif;
+  std::unique_ptr<std::int32_t[]> best_v1;
+  /// E_mem(d1, m2), flattened over (n+1)^2; valid for d1<=m2.  NaN-filled
+  /// so the engine's finalized-before-use assert can read it.
   std::vector<double> emem;
   std::vector<std::int32_t> best_m1;
   /// E_disk(d2) over n+1 entries.
@@ -60,19 +75,22 @@ struct LevelTables {
 
   explicit LevelTables(std::size_t n_in, bool keep_verif_values = true)
       : n(n_in),
-        best_v1((n + 1) * (n + 1) * (n + 1), -1),
+        best_v1(new std::int32_t[tetra_count(n + 1)]),
         emem((n + 1) * (n + 1), std::numeric_limits<double>::quiet_NaN()),
         best_m1((n + 1) * (n + 1), -1),
         edisk(n + 1, std::numeric_limits<double>::quiet_NaN()),
         best_d1(n + 1, -1) {
-    if (keep_verif_values) {
-      everif.assign((n + 1) * (n + 1) * (n + 1),
-                    std::numeric_limits<double>::quiet_NaN());
-    }
+    if (keep_verif_values) everif.reset(new double[tetra_count(n + 1)]);
   }
 
+  /// Slab d1 starts after the triangles of slabs 0..d1-1 (T(n+1) -
+  /// T(n+1-d1) entries); row r = m1 - d1 of its triangle starts after r
+  /// rows of lengths L, L-1, ... with L = n + 1 - d1.
   std::size_t idx3(std::size_t d1, std::size_t m1, std::size_t v2) const {
-    return (d1 * (n + 1) + m1) * (n + 1) + v2;
+    const std::size_t len = n + 1 - d1;
+    const std::size_t r = m1 - d1;
+    return tetra_count(n + 1) - tetra_count(len) + r * (2 * len + 1 - r) / 2 +
+           (v2 - m1);
   }
   std::size_t idx2(std::size_t d1, std::size_t m2) const {
     return d1 * (n + 1) + m2;
@@ -83,6 +101,15 @@ struct LevelTables {
   }
   double emem_at(std::size_t d1, std::size_t m2) const {
     return emem[idx2(d1, m2)];
+  }
+
+  /// Bytes held by all six tables.
+  std::size_t resident_bytes() const noexcept {
+    const std::size_t cells = tetra_count(n + 1);
+    return cells * sizeof(std::int32_t) +
+           (everif != nullptr ? cells * sizeof(double) : 0) +
+           util::vector_bytes(emem) + util::vector_bytes(best_m1) +
+           util::vector_bytes(edisk) + util::vector_bytes(best_d1);
   }
 };
 
@@ -200,8 +227,10 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
 
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).  Slab d1
   // carries O((n - d1)^2) scan steps; parallel_for's dynamic schedule
-  // hands out indices in order, so the tallest slabs start first.
-  const bool keep_values = !t.everif.empty();
+  // hands out indices in order, so the tallest slabs start first.  Each
+  // slab writes -- and first-touches -- only its own contiguous triangle
+  // of the packed O(n^3) tables.
+  const bool keep_values = t.everif != nullptr;
   util::parallel_for(0, n, [&](std::size_t d1) {
     if (ckpt != nullptr && ckpt->slab_done(d1)) {
       // An earlier (interrupted) run already committed this slab's rows

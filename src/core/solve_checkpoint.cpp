@@ -51,12 +51,7 @@ std::size_t SolveCheckpoint::slabs_completed() const noexcept {
 
 std::size_t SolveCheckpoint::resident_bytes() const noexcept {
   std::size_t bytes = util::vector_bytes(slab_done_);
-  if (tables_ != nullptr) {
-    const detail::LevelTables& t = *tables_;
-    bytes += util::vector_bytes(t.everif) + util::vector_bytes(t.best_v1) +
-             util::vector_bytes(t.emem) + util::vector_bytes(t.best_m1) +
-             util::vector_bytes(t.edisk) + util::vector_bytes(t.best_d1);
-  }
+  if (tables_ != nullptr) bytes += tables_->resident_bytes();
   return bytes;
 }
 

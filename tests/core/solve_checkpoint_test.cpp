@@ -298,6 +298,36 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   EXPECT_EQ(result.plan, fresh.plan);
 }
 
+/// Bytes an interrupted solve's checkpoint must hold: the slab flags, the
+/// packed T(n+1) int32 argmins (plus T(n+1) doubles of E_verif values for
+/// ADMV), and the O(n^2) E_mem / O(n) E_disk tables.
+std::size_t packed_checkpoint_bytes(std::size_t n, bool keep_values) {
+  const std::size_t cells = (n + 1) * (n + 2) * (n + 3) / 6;
+  return n + cells * sizeof(std::int32_t) +
+         (keep_values ? cells * sizeof(double) : 0) +
+         (n + 1) * (n + 1) * (sizeof(double) + sizeof(std::int32_t)) +
+         (n + 1) * (sizeof(double) + sizeof(std::int32_t));
+}
+
+TEST(SolveCheckpoint, InterruptedCheckpointHoldsThePackedTables) {
+  const platform::CostModel costs{platform::hera()};
+  for (const Algorithm algorithm : {Algorithm::kADMVstar, Algorithm::kADMV}) {
+    const bool admv = algorithm == Algorithm::kADMV;
+    const std::size_t n = admv ? 24 : 60;
+    SolveCheckpoint ckpt;
+    DpContext ctx(chain::make_uniform(n, 25000.0), costs,
+                  DpContext::kDefaultMaxN, admv);
+    CancelToken token;
+    token.trip_after_polls(50);
+    ctx.set_cancel_token(&token);
+    ctx.set_checkpoint(&ckpt);
+    EXPECT_THROW(optimize(algorithm, ctx), SolveInterrupted);
+    ASSERT_EQ(ckpt.slabs_total(), n);
+    EXPECT_EQ(ckpt.resident_bytes(), packed_checkpoint_bytes(n, admv))
+        << to_string(algorithm);
+  }
+}
+
 TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   const ParallelismGuard serial(1);  // deterministic slab progress at the trip
   const std::size_t n = 80;

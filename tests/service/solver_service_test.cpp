@@ -185,11 +185,17 @@ TEST(SolverService, CancelRunningJobInterruptsTheSolve) {
   const JobHandle handle = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(400, 25000.0),
         platform::CostModel{platform::hera()}}});
-  // Spin until the worker picks it up (bounded; dispatch is quick).
-  for (int i = 0; i < 2000 && service.poll(handle).state == JobState::kQueued;
+  // Spin until the solve is inside solve_job() (bounded; dispatch and the
+  // table build are quick).  kRunning alone is not enough: the worker
+  // sets it before its pre-start cancel screen, and a cancel landing in
+  // between completes as "cancelled before start" without interrupting
+  // anything.  tables_built ticks under the solver's lock once solve_job()
+  // has built the tables, right before the O(n^4) level DP starts.
+  for (int i = 0; i < 5000 && service.stats().solver.tables_built == 0;
        ++i) {
     std::this_thread::sleep_for(milliseconds(1));
   }
+  ASSERT_EQ(service.stats().solver.tables_built, 1u);
   ASSERT_EQ(service.poll(handle).state, JobState::kRunning);
   EXPECT_TRUE(service.cancel(handle));
   const JobStatus status = service.wait(handle);
