@@ -49,7 +49,9 @@ std::vector<core::BatchJob> mixed_workload(std::size_t copies) {
 
 void BM_BatchMixed(benchmark::State& state) {
   const auto jobs = mixed_workload(static_cast<std::size_t>(state.range(0)));
-  core::BatchSolver solver;
+  // Plan cache off: every iteration after the first would otherwise be an
+  // exact hit, and this harness measures the table cache and work-queue.
+  core::BatchSolver solver{{.enable_plan_cache = false}};
   for (auto _ : state) {
     const auto results = solver.solve(jobs);
     benchmark::DoNotOptimize(results.data());

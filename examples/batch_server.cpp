@@ -3,7 +3,7 @@
 // burst, report throughput and cache behavior, release the scratch memory
 // between bursts, and show that the next burst reproduces identical plans.
 //
-//   $ ./batch_server [--waves 4] [--serial]
+//   $ ./batch_server [--waves 4]
 #include <chrono>
 #include <iostream>
 #include <vector>
@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   using namespace chainckpt;
   util::CliParser cli;
   cli.add_option("waves", "4", "request waves in the batch");
-  cli.add_flag("serial", "solve in order instead of the work-queue");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text("batch_server: BatchSolver workload demo");
@@ -26,8 +25,9 @@ int main(int argc, char** argv) {
   }
 
   // 1. A request: many independent chains of different lengths, weight
-  //    patterns, platforms, and algorithms.  Waves repeat the same chain
-  //    shapes -- the traffic pattern the coefficient-table cache serves.
+  //    patterns, platforms, and algorithms.  Waves repeat the same jobs,
+  //    which the plan cache serves; jobs over one chain and platform share
+  //    their coefficient tables.
   const auto waves = static_cast<std::size_t>(cli.get_int("waves"));
   std::vector<core::BatchJob> jobs;
   for (std::size_t w = 0; w < waves; ++w) {
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
             << platform::table1_platforms().size() << " platforms\n\n";
 
   // 2. Solve the burst through the shared work-queue.
-  core::BatchSolver solver{{.parallel = !cli.get_flag("serial")}};
+  core::BatchSolver solver;
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = solver.solve(jobs);
   const auto t1 = std::chrono::steady_clock::now();
@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
             << " chains/sec)\n";
   std::cout << "Tables built: " << solver.stats().tables_built
             << ", reused: " << solver.stats().tables_reused
+            << ", plan-cache hits: " << solver.plan_cache_stats().exact_hits
             << ", resident: " << solver.resident_bytes() / (1024.0 * 1024.0)
             << " MiB\n\n";
 

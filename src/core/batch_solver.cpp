@@ -1,7 +1,5 @@
 #include "core/batch_solver.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/arena.hpp"
@@ -41,161 +39,28 @@ bool is_checkpointable(Algorithm algorithm) {
   return algorithm == Algorithm::kADMVstar || algorithm == Algorithm::kADMV;
 }
 
-std::uint64_t to_bits(double value) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
-
 }  // namespace
 
 BatchSolver::BatchSolver(BatchOptions options)
     : options_(options),
       plan_cache_(PlanCacheConfig{options.plan_cache_budget_bytes}) {}
 
-std::size_t BatchSolver::TableKeyHash::operator()(
-    const TableKey& key) const noexcept {
-  // FNV-1a over the 64-bit words, byte by byte.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t word : key.bits) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (word >> shift) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
-}
-
-BatchSolver::TableKey BatchSolver::make_key(
-    const chain::TaskChain& chain, const platform::CostModel& costs) {
-  TableKey key;
-  const std::size_t n = chain.size();
-  key.bits.reserve(5 + 3 * n);
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  key.bits.push_back(to_bits(costs.lambda_f()));
-  key.bits.push_back(to_bits(costs.lambda_s()));
-  // The planning law changes every coefficient stream SegmentTables
-  // builds, so it must discriminate cache entries; laws that reduce to the
-  // exponential build share its key (and therefore its tables).
-  const platform::PlanningLaw& law = costs.planning_law();
-  if (law.is_exponential()) {
-    key.bits.push_back(0);
-    key.bits.push_back(to_bits(1.0));
-  } else {
-    key.bits.push_back(static_cast<std::uint64_t>(law.law));
-    key.bits.push_back(to_bits(law.weibull_shape));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
-    key.bits.push_back(to_bits(costs.v_partial_after(i)));
-  }
-  return key;
-}
-
-BatchSolver::TableKey BatchSolver::make_checkpoint_key(
-    const TableKey& tables_key, Algorithm algorithm, ScanMode scan_mode) {
-  TableKey key = tables_key;
-  // One metadata word: anything that changes the tables a resumed run
-  // writes (algorithm picks the engine and whether E_verif values are
-  // kept; scan mode changes the committed counters).
-  key.bits.push_back((static_cast<std::uint64_t>(algorithm) << 16) |
-                     static_cast<std::uint64_t>(scan_mode));
-  return key;
-}
-
 std::vector<OptimizationResult> BatchSolver::solve(
     const std::vector<BatchJob>& jobs) {
-  std::vector<OptimizationResult> results(jobs.size());
-
-  // Phase 1 (serial): key the DP jobs, resolve cache entries, and collect
-  // the distinct missing tables as build tasks.  Entry pointers are stable
-  // under rehash, so jobs can hold them across the phases.
-  struct Build {
-    TableEntry* entry;
-    const BatchJob* job;
-    bool rows;
-  };
-  std::vector<Build> builds;
-  std::unordered_map<TableEntry*, std::size_t> build_index;
-  std::vector<TableEntry*> job_entry(jobs.size(), nullptr);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const BatchJob& job = jobs[i];
+  // Reject a malformed batch before any of it runs.
+  for (const BatchJob& job : jobs) {
     CHAINCKPT_REQUIRE(!job.chain.empty(),
                       "batch job needs a non-empty chain");
-    if (!is_dp_algorithm(job.algorithm)) continue;
-    CHAINCKPT_REQUIRE(job.chain.size() <= options_.max_n,
-                      "batch job chain longer than BatchOptions::max_n");
-    auto [it, inserted] = cache_.try_emplace(make_key(job.chain, job.costs));
-    TableEntry& entry = it->second;
-    entry.last_used = ++use_tick_;
-    job_entry[i] = &entry;
-    const bool rows = needs_row_tables(job.algorithm);
-    // An entry built without rows is rebuilt in place when an ADMV job
-    // joins its key: the column arrays are identical either way, so the
-    // non-ADMV jobs sharing the entry keep their exact results.
-    if (entry.seg == nullptr || (rows && !entry.seg->has_rows())) {
-      const auto pending = build_index.find(&entry);
-      if (pending == build_index.end()) {
-        build_index.emplace(&entry, builds.size());
-        builds.push_back(Build{&entry, &job, rows});
-      } else {
-        builds[pending->second].rows |= rows;
-        ++stats_.tables_reused;
-      }
-    } else {
-      ++stats_.tables_reused;
-    }
+    CHAINCKPT_REQUIRE(
+        !is_dp_algorithm(job.algorithm) || job.chain.size() <= options_.max_n,
+        "batch job chain longer than BatchOptions::max_n");
   }
-
-  // Phase 2: build the missing tables, in parallel over distinct keys --
-  // each task writes one distinct, pre-inserted cache entry.
-  const auto build_one = [&](std::size_t b) {
-    const Build& task = builds[b];
-    const BatchJob& job = *task.job;
-    auto table = std::make_shared<const chain::WeightTable>(
-        job.chain, job.costs.lambda_f(), job.costs.lambda_s());
-    auto seg = std::make_shared<const analysis::SegmentTables>(
-        *table, job.costs, task.rows);
-    task.entry->table = std::move(table);
-    task.entry->seg = std::move(seg);
-  };
-  if (options_.parallel) {
-    util::parallel_for(0, builds.size(), build_one);
-  } else {
-    for (std::size_t b = 0; b < builds.size(); ++b) build_one(b);
-  }
-  stats_.tables_built += builds.size();
-
-  // Phase 3: the work-queue.  Dynamic scheduling load-balances the
-  // heterogeneous jobs; each solver's own slab parallelism degrades to
-  // serial inside the region, so workers stay busy on whole chains.
-  const auto solve_one = [&](std::size_t i) {
-    const BatchJob& job = jobs[i];
-    if (TableEntry* entry = job_entry[i]) {
-      DpContext ctx(job.chain, job.costs, entry->table, entry->seg,
-                    options_.max_n);
-      ctx.set_scan_mode(options_.scan_mode);
-      results[i] = optimize(job.algorithm, ctx);
-    } else {
-      results[i] = optimize(job.algorithm, job.chain, job.costs);
-    }
-  };
-  if (options_.parallel) {
-    util::parallel_for(0, jobs.size(), solve_one);
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) solve_one(i);
-  }
-  stats_.jobs_solved += jobs.size();
-  for (const OptimizationResult& result : results) {
-    stats_.scan += result.scan;
-  }
-  if (options_.cache_budget_bytes != 0) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    evict_locked(options_.cache_budget_bytes);
-  }
+  // The work-queue.  Dynamic scheduling load-balances the heterogeneous
+  // jobs; each solver's own slab parallelism degrades to serial inside the
+  // region, so workers stay busy on whole chains.
+  std::vector<OptimizationResult> results(jobs.size());
+  util::parallel_for(0, jobs.size(),
+                     [&](std::size_t i) { results[i] = solve_job(jobs[i]); });
   return results;
 }
 
@@ -241,7 +106,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   }
 
   const bool rows = needs_row_tables(job.algorithm);
-  const TableKey key = make_key(job.chain, job.costs);
+  const SolveKey key = table_key(job.chain, job.costs);
 
   // Acquire (building if necessary) the shared table pair.  References
   // into the map survive rehashes; the loop re-looks the key up after
@@ -273,20 +138,16 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       // Incremental path: find a donor whose streams this build can
       // patch instead of recomputing.  A row upgrade's own rowless entry
       // is the ideal donor (mask = the row streams); otherwise any ready
-      // entry over the same chain weights (key words [5, 5+n)) donates
-      // whatever the parameter drift left untouched.  The patch
-      // constructors reproduce a from-scratch build byte for byte, so
-      // the determinism contract is unaffected.
+      // entry over the same chain weights donates whatever the parameter
+      // drift left untouched.  The patch constructors reproduce a
+      // from-scratch build byte for byte, so the determinism contract is
+      // unaffected.
       std::shared_ptr<const analysis::SegmentTables> donor_seg = entry.seg;
       std::shared_ptr<const chain::WeightTable> donor_table;
       if (donor_seg == nullptr) {
-        const std::size_t n = job.chain.size();
         for (const auto& [other_key, other] : cache_) {
-          if (other.building || other.seg == nullptr) continue;
-          if (other_key.bits[0] != key.bits[0]) continue;
-          if (!std::equal(other_key.bits.begin() + 5,
-                          other_key.bits.begin() + 5 + n,
-                          key.bits.begin() + 5)) {
+          if (other.building || other.seg == nullptr ||
+              !same_chain_weights(other_key, key)) {
             continue;
           }
           donor_table = other.table;
@@ -355,11 +216,11 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   // interrupted solve_job() left its completed slabs here, and this run
   // resumes them.  Checkout is exclusive -- a concurrent solve of the
   // same workload simply starts fresh (last interrupt wins the store).
-  TableKey ckpt_key;
+  SolveKey ckpt_key;
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
   if (options_.keep_checkpoints && is_checkpointable(job.algorithm)) {
-    ckpt_key = make_checkpoint_key(key, job.algorithm, options_.scan_mode);
+    ckpt_key = solve_key(job.algorithm, job.chain, job.costs);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = checkpoints_.find(ckpt_key);
@@ -376,7 +237,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   // tables alive even if the entry is evicted mid-solve.
   DpContext ctx(job.chain, job.costs, std::move(table), std::move(seg),
                 options_.max_n);
-  ctx.set_scan_mode(options_.scan_mode);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
   if (have_warm_bound) ctx.set_warm_upper_bound(warm_bound);
@@ -455,14 +315,6 @@ std::size_t BatchSolver::release_scratch() {
   return freed;
 }
 
-std::size_t BatchSolver::discard_checkpoints() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t freed = checkpoint_bytes_locked();
-  stats_.checkpoints_dropped += checkpoints_.size();
-  checkpoints_.clear();
-  return freed;
-}
-
 std::size_t BatchSolver::checkpoint_resident_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return checkpoint_bytes_locked();
@@ -523,7 +375,7 @@ std::size_t BatchSolver::cache_resident_bytes() const {
   return cache_bytes_locked();
 }
 
-BatchStats BatchSolver::stats_snapshot() const {
+BatchStats BatchSolver::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
 }
@@ -567,16 +419,6 @@ std::size_t BatchSolver::evict_checkpoints_locked(std::size_t budget_bytes) {
 }
 
 std::size_t BatchSolver::evict_locked(std::size_t budget_bytes) {
-  // Sweep table-less leftovers first (a phase-1 validation throw in
-  // solve() can strand freshly keyed entries); they hold no bytes but
-  // would otherwise occupy map nodes forever.
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (!it->second.building && it->second.seg == nullptr) {
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   std::size_t freed = 0;
   std::size_t resident = cache_bytes_locked();
   while (resident > budget_bytes) {

@@ -26,17 +26,15 @@
 //     simply rebuilds what it needs.
 //
 // Determinism: every job's result (plan and objective) is bit-identical to
-// a standalone core::optimize() call with the same inputs, whether the
-// batch runs serially or in parallel, cached or cold, and whether the
-// entry survived eviction or was rebuilt.
+// a standalone core::optimize() call with the same inputs, at any thread
+// count, cached or cold, and whether the entry survived eviction or was
+// rebuilt.
 //
-// Thread-safety: the batch entry point solve() is NOT internally
-// synchronized -- it IS the parallelism; use it from one thread at a time.
-// The per-job entry point solve_job() IS thread-safe against other
-// solve_job() calls on the same instance (the table cache, LRU state, and
-// stats sit behind an internal mutex; the DP itself runs outside it) --
-// it is the entry the async service::SolverService workers use.  Do not
-// interleave solve() with concurrent solve_job() calls.  The arena pool
+// Thread-safety: solve() is a util::parallel_for over solve_job(), the
+// one solve path, which is thread-safe against other solve()/solve_job()
+// calls on the same instance (the caches, LRU state, and stats sit behind
+// internal mutexes; the DP itself runs outside them) -- it is the entry
+// the async service::SolverService workers use.  The arena pool
 // behind release_scratch() / resident_bytes() is PROCESS-WIDE (every
 // solver's thread-local scratch registers with it), so release_scratch()
 // must not overlap a running solve on ANY instance in the process, and
@@ -57,6 +55,7 @@
 #include "core/optimizer.hpp"
 #include "core/plan_cache.hpp"
 #include "core/solve_checkpoint.hpp"
+#include "core/solve_key.hpp"
 
 namespace chainckpt::core {
 
@@ -76,20 +75,11 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Solve jobs through the shared work-queue (dynamic scheduling over
-  /// util::parallel_for).  false runs an in-order serial loop; results are
-  /// identical either way (determinism contract).
-  bool parallel = true;
-  /// Inner argmin scan mode for the DP jobs (see
-  /// core/monotone_scanner.hpp).  kMonotonePruned is bit-compatible with
-  /// kDense under the QI gate + boundary guard and reports its pruning
-  /// counters through stats().scan.
-  ScanMode scan_mode = ScanMode::kDense;
   /// Upper bound on chain length, guarding the dense O(n^3) DP tables
   /// (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
   /// Byte budget for the coefficient-table cache; 0 keeps it unbounded.
-  /// After every solve()/solve_job(), least-recently-used entries are
+  /// After every solve_job(), least-recently-used entries are
   /// evicted until the cache fits (an entry larger than the whole budget
   /// is evicted right after its solve).  Evicted keys simply rebuild on
   /// their next use -- results are unaffected.  Runtime-adjustable via
@@ -97,8 +87,7 @@ struct BatchOptions {
   std::size_t cache_budget_bytes = 0;
   /// Retain a resumable core::SolveCheckpoint when a solve_job() for a
   /// multi-level DP (kADMVstar/kADMV) is interrupted: a later solve_job()
-  /// of the same workload (same tables key, algorithm, and scan mode)
-  /// resumes it, re-executing only the slabs the interrupted run
+  /// of the same workload (equal core::solve_key) resumes it, re-executing only the slabs the interrupted run
   /// did not finish, with bit-identical results.  The retained state is
   /// the job's level tables (see detail::LevelTables), so a service that
   /// interrupts large solves should bound it with
@@ -108,12 +97,10 @@ struct BatchOptions {
   /// Oldest-interrupted first; a dropped checkpoint just means the job
   /// starts from scratch on its next submission.
   std::size_t checkpoint_budget_bytes = 0;
-  /// Memoize final plans in a core::PlanCache and serve repeat solve_job()
+  /// Memoize final plans in a core::PlanCache and serve repeat
   /// submissions from it: exact key matches return the stored result
   /// bitwise; near-misses may be served under an epsilon tolerance (see
-  /// plan_cache_epsilon).  The batch solve() entry bypasses the plan
-  /// cache (its phases pre-build tables for every job) but results are
-  /// identical either way.
+  /// plan_cache_epsilon).
   bool enable_plan_cache = true;
   /// LRU byte budget for the plan cache; 0 keeps it unbounded (plans are
   /// a few hundred bytes each).  Runtime-adjustable via
@@ -164,8 +151,8 @@ struct BatchStats {
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
   /// certificate or solver bug.  Must stay 0.
   std::size_t warm_bound_violations = 0;
-  /// Aggregated prune/fallback counters of every DP job's inner scans
-  /// (all-zero while scan_mode is kDense).
+  /// Aggregated scan counters of every DP job the solver ran (always the
+  /// dense scan, so the prune/fallback counters stay zero).
   ScanStats scan;
 };
 
@@ -173,19 +160,20 @@ class BatchSolver {
  public:
   explicit BatchSolver(BatchOptions options = {});
 
-  /// Solves every job; results[i] corresponds to jobs[i].  Safe to call
-  /// repeatedly -- the table cache persists and warms across calls.
+  /// Checks every job (non-empty chain; max_n for the DPs), then solves
+  /// them through solve_job() on the shared work-queue; results[i]
+  /// corresponds to jobs[i].  Safe to call repeatedly -- the caches
+  /// persist and warm across calls.
   std::vector<OptimizationResult> solve(const std::vector<BatchJob>& jobs);
 
-  /// Solves one job through the shared cache.  Unlike solve(), this entry
-  /// is thread-safe against concurrent solve_job() calls on the same
-  /// instance: workers serving an async queue call it directly (see
-  /// service::SolverService).  Concurrent callers missing the same key
-  /// build its tables once (the first claims the build, the rest wait).
-  /// `cancel`, when non-null, is threaded to the DP's cooperative
-  /// checkpoints; a fired token makes this call throw SolveInterrupted
-  /// (counted in stats().jobs_interrupted) with the cache intact.
-  /// Results are bit-identical to solve() and to standalone optimize().
+  /// Solves one job through the shared caches; workers serving an async
+  /// queue call it directly (see service::SolverService).  Concurrent
+  /// callers missing the same table key build its tables once (the first
+  /// claims the build, the rest wait).  `cancel`, when non-null, is
+  /// threaded to the DP's cooperative checkpoints; a fired token makes
+  /// this call throw SolveInterrupted (counted in stats().jobs_interrupted)
+  /// with the caches intact.  Results are bit-identical to standalone
+  /// optimize().
   OptimizationResult solve_job(const BatchJob& job,
                                const CancelToken* cancel = nullptr);
 
@@ -197,11 +185,6 @@ class BatchSolver {
   /// identical results.  Must not overlap a running solve on any
   /// BatchSolver or standalone optimizer call.
   std::size_t release_scratch();
-
-  /// Drops every retained interruption checkpoint (jobs restart from
-  /// scratch on their next submission); returns the bytes freed.  Safe
-  /// against concurrent solve_job() calls.
-  std::size_t discard_checkpoints();
 
   /// Bytes held by the retained interruption checkpoints.
   std::size_t checkpoint_resident_bytes() const;
@@ -244,30 +227,10 @@ class BatchSolver {
   std::size_t cache_resident_bytes() const;
 
   const BatchOptions& options() const noexcept { return options_; }
-  /// Borrowing accessor for the exclusive-use batch path; while
-  /// concurrent solve_job() calls are in flight, use stats_snapshot().
-  const BatchStats& stats() const noexcept { return stats_; }
   /// Consistent copy of the counters, taken under the cache lock.
-  BatchStats stats_snapshot() const;
+  BatchStats stats() const;
 
  private:
-  /// Cache key: the exact bit patterns of everything a WeightTable /
-  /// SegmentTables build reads -- chain length and weights, the two error
-  /// rates, and the two per-position verification-cost streams.  The
-  /// remaining cost streams (checkpoint/recovery costs, recall) are read
-  /// per job at solve time, never baked into the tables, so jobs
-  /// differing only in those -- e.g. a checkpoint-price sweep -- share
-  /// one table pair.  Bitwise comparison (not double ==) keeps hash and
-  /// equality consistent for every value including -0.0 and NaN.
-  struct TableKey {
-    std::vector<std::uint64_t> bits;
-    bool operator==(const TableKey& other) const noexcept {
-      return bits == other.bits;
-    }
-  };
-  struct TableKeyHash {
-    std::size_t operator()(const TableKey& key) const noexcept;
-  };
   struct TableEntry {
     std::shared_ptr<const chain::WeightTable> table;
     std::shared_ptr<const analysis::SegmentTables> seg;
@@ -282,20 +245,16 @@ class BatchSolver {
   };
 
   /// A retained interruption checkpoint: the partial progress of one
-  /// (workload, algorithm, scan mode), checked OUT of the store
-  /// for the duration of a solve (exclusive ownership) and checked back
-  /// in only if the solve is interrupted again.  Keyed by the TableKey
-  /// bits extended with one metadata word, so a checkpoint can never be
-  /// resumed by a solve it would not be bit-identical for.
+  /// solve, checked OUT of the store for the duration of a solve
+  /// (exclusive ownership) and checked back in only if the solve is
+  /// interrupted again.  Keyed by core::solve_key -- every input the
+  /// committed slabs depend on -- so a checkpoint is only ever resumed by
+  /// the computation that wrote it.
   struct CheckpointEntry {
     std::shared_ptr<SolveCheckpoint> checkpoint;
     std::uint64_t last_used = 0;
   };
 
-  static TableKey make_key(const chain::TaskChain& chain,
-                           const platform::CostModel& costs);
-  static TableKey make_checkpoint_key(const TableKey& tables_key,
-                                      Algorithm algorithm, ScanMode scan_mode);
   static std::size_t entry_bytes(const TableEntry& entry) noexcept;
 
   /// The following helpers require mutex_ to be held.
@@ -309,12 +268,12 @@ class BatchSolver {
   /// Memoized final plans (own internal lock; never held together with
   /// mutex_).
   PlanCache plan_cache_;
-  std::unordered_map<TableKey, TableEntry, TableKeyHash> cache_;
-  std::unordered_map<TableKey, CheckpointEntry, TableKeyHash> checkpoints_;
+  /// Keyed by core::table_key.
+  std::unordered_map<SolveKey, TableEntry, SolveKeyHash> cache_;
+  std::unordered_map<SolveKey, CheckpointEntry, SolveKeyHash> checkpoints_;
   std::uint64_t use_tick_ = 0;
-  /// Guards cache_, stats_, use_tick_, and the cache-budget option for
-  /// the solve_job() path; solve() relies on its exclusive contract and
-  /// takes it only around shared bookkeeping.
+  /// Guards cache_, checkpoints_, stats_, use_tick_, and the budget
+  /// options.
   mutable std::mutex mutex_;
   std::condition_variable build_done_;
 };

@@ -1,6 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "analysis/evaluator.hpp"
@@ -8,93 +7,7 @@
 
 namespace chainckpt::core {
 
-namespace {
-
-std::uint64_t to_bits(double value) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
-
-/// Only the ADMV partial-verification engine reads V and the recall; the
-/// other DPs are invariant under them (grep the kernels: exv_r / vp are
-/// consumed by dp_partial alone), so keying them for every algorithm
-/// would only forfeit sound exact hits.
-bool reads_partial_stream(Algorithm algorithm) noexcept {
-  return algorithm == Algorithm::kADMV;
-}
-
-}  // namespace
-
 PlanCache::PlanCache(PlanCacheConfig config) : config_(config) {}
-
-std::size_t PlanCache::PlanKeyHash::operator()(
-    const PlanKey& key) const noexcept {
-  // FNV-1a over the 64-bit words, byte by byte (same scheme as the
-  // BatchSolver table key).
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t word : key.bits) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (word >> shift) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
-}
-
-PlanCache::PlanKey PlanCache::make_exact_key(Algorithm algorithm,
-                                             const chain::TaskChain& chain,
-                                             const platform::CostModel& costs) {
-  PlanKey key;
-  const std::size_t n = chain.size();
-  const bool partial = reads_partial_stream(algorithm);
-  key.bits.reserve(6 + n * (partial ? 7 : 6) + (partial ? 1 : 0));
-  key.bits.push_back(static_cast<std::uint64_t>(algorithm));
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  key.bits.push_back(to_bits(costs.lambda_f()));
-  key.bits.push_back(to_bits(costs.lambda_s()));
-  // Laws that reduce to the exponential build share a key, mirroring the
-  // table cache: their coefficient streams -- and hence their plans --
-  // are bitwise identical.
-  const platform::PlanningLaw& law = costs.planning_law();
-  if (law.is_exponential()) {
-    key.bits.push_back(0);
-    key.bits.push_back(to_bits(1.0));
-  } else {
-    key.bits.push_back(static_cast<std::uint64_t>(law.law));
-    key.bits.push_back(to_bits(law.weibull_shape));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
-    key.bits.push_back(to_bits(costs.c_disk_after(i)));
-    key.bits.push_back(to_bits(costs.c_mem_after(i)));
-    key.bits.push_back(to_bits(costs.r_disk_after(i)));
-    key.bits.push_back(to_bits(costs.r_mem_after(i)));
-  }
-  if (partial) {
-    for (std::size_t i = 1; i <= n; ++i) {
-      key.bits.push_back(to_bits(costs.v_partial_after(i)));
-    }
-    key.bits.push_back(to_bits(costs.recall()));
-  }
-  return key;
-}
-
-PlanCache::PlanKey PlanCache::make_shape_key(Algorithm algorithm,
-                                             const chain::TaskChain& chain) {
-  PlanKey key;
-  const std::size_t n = chain.size();
-  key.bits.reserve(2 + n);
-  key.bits.push_back(static_cast<std::uint64_t>(algorithm));
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  return key;
-}
 
 std::size_t PlanCache::entry_bytes(const Entry& entry) noexcept {
   // Deterministic estimate: the two keys, the plan's action vector, the
@@ -115,7 +28,7 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
                               const platform::CostModel& costs,
                               double epsilon) {
   CacheLookup out;
-  const PlanKey exact_key = make_exact_key(algorithm, chain, costs);
+  const SolveKey exact_key = solve_key(algorithm, chain, costs);
   std::shared_ptr<Entry> candidate;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -128,7 +41,7 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
       out.result = it->second->result;
       return out;
     }
-    const auto shape_it = shape_index_.find(make_shape_key(algorithm, chain));
+    const auto shape_it = shape_index_.find(shape_key(algorithm, chain));
     if (shape_it != shape_index_.end()) {
       const auto entry_it = entries_.find(shape_it->second);
       if (entry_it != entries_.end()) candidate = entry_it->second;
@@ -181,14 +94,14 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
 void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
                        const platform::CostModel& costs,
                        const OptimizationResult& result) {
-  PlanKey exact_key = make_exact_key(algorithm, chain, costs);
-  PlanKey shape_key = make_shape_key(algorithm, chain);
+  SolveKey exact_key = solve_key(algorithm, chain, costs);
+  SolveKey shape = shape_key(algorithm, chain);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(exact_key);
     if (it != entries_.end()) {
       it->second->last_used = ++use_tick_;
-      shape_index_[shape_key] = exact_key;
+      shape_index_[shape] = exact_key;
       return;
     }
   }
@@ -199,7 +112,7 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
       make_validity_certificate(result.plan, costs.platform(),
                                 result.expected_makespan,
                                 chain.total_weight()),
-      costs, std::move(exact_key), std::move(shape_key), 0, 0});
+      costs, std::move(exact_key), std::move(shape), 0, 0});
   // The kADMV engine prices even partial-free optima under the III-B
   // framework; the certificate's gamma fold must know (see sensitivity.hpp).
   if (algorithm == Algorithm::kADMV) entry->cert.partial_framework = true;
@@ -225,12 +138,12 @@ bool PlanCache::probable_hit(Algorithm algorithm,
   std::shared_ptr<Entry> candidate;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.count(make_exact_key(algorithm, chain, costs)) != 0) {
+    if (entries_.count(solve_key(algorithm, chain, costs)) != 0) {
       return true;
     }
     if (epsilon <= 0.0) return false;
     const auto shape_it =
-        shape_index_.find(make_shape_key(algorithm, chain));
+        shape_index_.find(shape_key(algorithm, chain));
     if (shape_it == shape_index_.end()) return false;
     const auto entry_it = entries_.find(shape_it->second);
     if (entry_it == entries_.end()) return false;

@@ -45,11 +45,11 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "chain/chain.hpp"
 #include "core/optimizer.hpp"
 #include "core/sensitivity.hpp"
+#include "core/solve_key.hpp"
 #include "platform/cost_model.hpp"
 
 namespace chainckpt::core {
@@ -148,16 +148,6 @@ class PlanCache {
   PlanCacheStats stats_snapshot() const;
 
  private:
-  struct PlanKey {
-    std::vector<std::uint64_t> bits;
-    bool operator==(const PlanKey& other) const noexcept {
-      return bits == other.bits;
-    }
-  };
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanKey& key) const noexcept;
-  };
-
   /// Immutable after insert except for the LRU stamp (lock-guarded);
   /// lookups hold the shared_ptr and read result/cert/costs outside the
   /// lock.
@@ -165,22 +155,12 @@ class PlanCache {
     OptimizationResult result;
     ValidityCertificate cert;
     platform::CostModel costs;
-    PlanKey exact_key;
-    PlanKey shape_key;
+    SolveKey exact_key;
+    SolveKey shape_key;
     std::size_t bytes = 0;
     std::uint64_t last_used = 0;
   };
 
-  /// Exact key: every parameter the algorithm's DP reads, as bit
-  /// patterns.  The partial-verification stream and recall join only for
-  /// kADMV -- the other engines never read them, so jobs differing only
-  /// there share their plans.
-  static PlanKey make_exact_key(Algorithm algorithm,
-                                const chain::TaskChain& chain,
-                                const platform::CostModel& costs);
-  /// Shape key: (algorithm, n, weights) -- the near-miss candidate index.
-  static PlanKey make_shape_key(Algorithm algorithm,
-                                const chain::TaskChain& chain);
   static std::size_t entry_bytes(const Entry& entry) noexcept;
 
   std::size_t resident_bytes_locked() const noexcept;
@@ -188,10 +168,11 @@ class PlanCache {
 
   PlanCacheConfig config_;
   PlanCacheStats stats_;
-  std::unordered_map<PlanKey, std::shared_ptr<Entry>, PlanKeyHash> entries_;
+  /// Keyed by core::solve_key.
+  std::unordered_map<SolveKey, std::shared_ptr<Entry>, SolveKeyHash> entries_;
   /// Most recent entry per shape key -- the candidate a near-miss lookup
   /// checks the certificate against.
-  std::unordered_map<PlanKey, PlanKey, PlanKeyHash> shape_index_;
+  std::unordered_map<SolveKey, SolveKey, SolveKeyHash> shape_index_;
   std::uint64_t use_tick_ = 0;
   mutable std::mutex mutex_;
 };

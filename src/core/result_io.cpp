@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "core/solve_key.hpp"
+
 namespace chainckpt::core {
 
 namespace {
@@ -10,12 +12,6 @@ namespace {
 /// bytes outside the enum.
 constexpr std::uint8_t kMaxAction =
     static_cast<std::uint8_t>(plan::Action::kDiskCheckpoint);
-
-std::uint64_t f64_bits(double value) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
 
 double bits_f64(std::uint64_t bits) noexcept {
   double value;
@@ -47,7 +43,7 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
 }
 
 void put_f64(std::vector<std::uint8_t>& out, double value) {
-  put_u64(out, f64_bits(value));
+  put_u64(out, to_bits(value));
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& value) {
@@ -161,7 +157,7 @@ bool read_result(const std::uint8_t* data, std::size_t size,
 bool results_bitwise_equal(const OptimizationResult& a,
                            const OptimizationResult& b) noexcept {
   return a.plan == b.plan &&
-         f64_bits(a.expected_makespan) == f64_bits(b.expected_makespan) &&
+         to_bits(a.expected_makespan) == to_bits(b.expected_makespan) &&
          a.scan.dense_cells == b.scan.dense_cells &&
          a.scan.cells_scanned == b.scan.cells_scanned &&
          a.scan.steps == b.scan.steps &&

@@ -23,8 +23,8 @@
 //
 // Ownership: a checkpoint belongs to exactly one solve at a time (the DP
 // mutates it without internal locking beyond the slab-commit mutex).
-// core::BatchSolver keeps interrupted checkpoints keyed alongside its
-// cached tables and checks one out per solve_job(); standalone callers
+// core::BatchSolver keeps interrupted checkpoints keyed by core::solve_key
+// and checks one out per solve_job(); standalone callers
 // attach one through DpContext::set_checkpoint().
 #pragma once
 

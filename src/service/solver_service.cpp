@@ -326,7 +326,7 @@ ServiceStats SolverService::stats() const {
     out.queued_units = queued_units_;
     out.tenants = tenant_counters_;
   }
-  out.solver = solver_.stats_snapshot();
+  out.solver = solver_.stats();
   out.plan_cache = solver_.plan_cache_stats();
   return out;
 }

@@ -37,11 +37,10 @@
 //     bounded by BatchOptions::checkpoint_budget_bytes, and
 //     release_scratch() remains available at quiescent points.
 //
-// Determinism: a job's result is bit-identical to a synchronous
-// core::BatchSolver::solve() (and standalone core::optimize()) run of the
-// same work -- scheduling order, worker count, queue pressure, eviction,
-// preemption/resume, and cancellation of OTHER jobs change nothing about
-// a job's plan or objective (tests/service/solver_service_test.cpp pins
+// Determinism: a job's result is bit-identical to a standalone
+// core::optimize() run of the same work -- scheduling order, worker
+// count, queue pressure, eviction, preemption/resume, and cancellation of
+// OTHER jobs change nothing about a job's plan or objective (tests/service/solver_service_test.cpp pins
 // this at n up to 400; tests/service/scheduler_stress_test.cpp under
 // mixed-priority chaos).
 //
@@ -71,8 +70,8 @@ struct ServiceOptions {
   /// concurrency is min(workers, OpenMP threads) -- see the pool note in
   /// the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: scan mode,
-  /// max_n, the LRU cache budget, and the interruption-checkpoint policy
+  /// Passed through to the embedded BatchSolver: max_n, the LRU cache
+  /// budget, the plan cache, and the interruption-checkpoint policy
   /// (keep_checkpoints/checkpoint_budget_bytes -- what makes preempted
   /// jobs resume instead of restart).
   core::BatchOptions solver;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "chain/patterns.hpp"
+#include "core/result_io.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/arena.hpp"
@@ -33,6 +34,29 @@ std::vector<BatchJob> mixed_batch() {
   return jobs;
 }
 
+/// mixed_batch() runs 6 DP jobs over 4 distinct table keys.
+constexpr std::size_t kMixedDpJobs = 6;
+constexpr std::size_t kMixedTableKeys = 4;
+
+/// Table-cache counters that hold in any job order.  Every DP job that
+/// reaches the table cache either reuses an entry or builds one, and each
+/// key costs one fresh build; the only other builds are patch builds, as
+/// when an ADMV job row-upgrades the rowless entry an ADV* job sharing
+/// its key built first.
+void expect_table_counts(const BatchStats& stats, std::size_t keys,
+                         std::size_t dp_jobs) {
+  EXPECT_EQ(stats.tables_built - stats.tables_patched, keys);
+  EXPECT_EQ(stats.tables_built + stats.tables_reused, dp_jobs);
+}
+
+/// The table-cache tests watch the tables themselves: with the plan cache
+/// on, a repeated job would be served without touching them.
+BatchOptions tables_only() {
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  return options;
+}
+
 TEST(BatchSolver, MatchesPerChainOptimizeBitIdentically) {
   const auto jobs = mixed_batch();
   BatchSolver solver;
@@ -48,36 +72,44 @@ TEST(BatchSolver, MatchesPerChainOptimizeBitIdentically) {
   }
 }
 
-TEST(BatchSolver, SerialAndParallelBatchesAgreeBitwise) {
-  const auto jobs = mixed_batch();
-  BatchSolver parallel_solver{{.parallel = true}};
-  BatchSolver serial_solver{{.parallel = false}};
-  const auto par = parallel_solver.solve(jobs);
-  const auto ser = serial_solver.solve(jobs);
-  ASSERT_EQ(par.size(), ser.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(par[i].expected_makespan, ser[i].expected_makespan) << i;
-    EXPECT_EQ(par[i].plan, ser[i].plan) << i;
-  }
-}
-
 TEST(BatchSolver, SharesTablesAcrossJobsAndBatches) {
   const auto jobs = mixed_batch();
-  BatchSolver solver;
+  BatchSolver solver{tables_only()};
   solver.solve(jobs);
-  // 6 DP jobs over 4 distinct (chain, platform) keys.
-  EXPECT_EQ(solver.stats().tables_built, 4u);
-  EXPECT_EQ(solver.stats().tables_reused, 2u);
-  // A second identical batch is served entirely from the cache.
+  expect_table_counts(solver.stats(), kMixedTableKeys, kMixedDpJobs);
+  // A second identical batch is served entirely from the table cache.
+  const std::size_t built = solver.stats().tables_built;
   solver.solve(jobs);
-  EXPECT_EQ(solver.stats().tables_built, 4u);
-  EXPECT_EQ(solver.stats().tables_reused, 8u);
+  EXPECT_EQ(solver.stats().tables_built, built);
+  expect_table_counts(solver.stats(), kMixedTableKeys, 2 * kMixedDpJobs);
   EXPECT_EQ(solver.stats().jobs_solved, 2 * jobs.size());
+}
+
+TEST(BatchSolver, RepeatedBatchIsServedFromThePlanCache) {
+  // The batch entry shares solve_job()'s plan cache: a second identical
+  // batch exact-hits every DP job, returns the same bits, and leaves the
+  // table cache untouched.
+  const auto jobs = mixed_batch();
+  BatchSolver solver;
+  const auto first = solver.solve(jobs);
+  EXPECT_EQ(solver.plan_cache_stats().exact_hits, 0u);
+  const BatchStats before = solver.stats();
+  const auto second = solver.solve(jobs);
+  const BatchStats after = solver.stats();
+  EXPECT_EQ(solver.plan_cache_stats().exact_hits, kMixedDpJobs);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(results_bitwise_equal(second[i], first[i])) << "job " << i;
+  }
+  EXPECT_EQ(after.tables_built, before.tables_built);
+  EXPECT_EQ(after.tables_reused, before.tables_reused);
+  EXPECT_EQ(after.tables_patched, before.tables_patched);
+  EXPECT_EQ(after.jobs_solved, 2 * jobs.size());
 }
 
 TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
   const auto jobs = mixed_batch();
-  BatchSolver solver;
+  BatchSolver solver{tables_only()};
   const auto before = solver.solve(jobs);
   EXPECT_GT(solver.resident_bytes(), 0u);
 
@@ -95,7 +127,7 @@ TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
     EXPECT_EQ(after[i].plan, before[i].plan) << i;
   }
   // The re-solve rebuilt the four distinct tables from scratch.
-  EXPECT_EQ(solver.stats().tables_built, 8u);
+  expect_table_counts(solver.stats(), 2 * kMixedTableKeys, 2 * kMixedDpJobs);
 }
 
 TEST(BatchSolver, RowlessEntryIsUpgradedWhenAdmvJoins) {
@@ -160,7 +192,7 @@ TEST(BatchSolver, EvictToDropsLeastRecentlyUsedFirst) {
   const auto chain_a = chain::make_uniform(120, 25000.0);
   const auto chain_b = chain::make_uniform(100, 25000.0);
   const auto chain_c = chain::make_uniform(80, 25000.0);
-  BatchSolver solver;
+  BatchSolver solver{tables_only()};
   solver.solve({{Algorithm::kADVstar, chain_a, costs}});
   solver.solve({{Algorithm::kADVstar, chain_b, costs}});
   solver.solve({{Algorithm::kADVstar, chain_c, costs}});
@@ -192,12 +224,14 @@ TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
     jobs.push_back({Algorithm::kADVstar, chain::make_uniform(n, 25000.0),
                     costs});
   }
-  BatchSolver unbounded;
+  BatchSolver unbounded{tables_only()};
   const auto reference = unbounded.solve(jobs);
   const std::size_t one_pair =
       unbounded.evict_to(0) / jobs.size() + 1;  // avg entry, rounded up
 
-  BatchSolver bounded{{.cache_budget_bytes = one_pair}};
+  BatchOptions options = tables_only();
+  options.cache_budget_bytes = one_pair;
+  BatchSolver bounded{options};
   const auto results = bounded.solve(jobs);
   EXPECT_LE(bounded.cache_resident_bytes(), one_pair);
   EXPECT_GT(bounded.stats().tables_evicted, 0u);
@@ -224,8 +258,8 @@ TEST(BatchSolver, SolveJobMatchesBatchAndStandaloneBitwise) {
   }
   EXPECT_EQ(job_solver.stats().jobs_solved, jobs.size());
   // Same cache behaviour as the batch path: 4 distinct DP keys.
-  EXPECT_EQ(job_solver.stats().tables_built,
-            batch_solver.stats().tables_built);
+  expect_table_counts(batch_solver.stats(), kMixedTableKeys, kMixedDpJobs);
+  expect_table_counts(job_solver.stats(), kMixedTableKeys, kMixedDpJobs);
 }
 
 TEST(BatchSolver, ConcurrentSolveJobsBuildSharedTablesOnce) {
@@ -248,7 +282,7 @@ TEST(BatchSolver, ConcurrentSolveJobsBuildSharedTablesOnce) {
         [&, t] { results[t] = solver.solve_job(job); });
   }
   for (auto& thread : threads) thread.join();
-  const BatchStats stats = solver.stats_snapshot();
+  const BatchStats stats = solver.stats();
   EXPECT_EQ(stats.tables_built, 1u);
   EXPECT_EQ(stats.tables_reused, kThreads - 1);
   EXPECT_EQ(stats.jobs_solved, kThreads);
@@ -298,7 +332,7 @@ TEST(BatchSolver, InterruptedSolveReleasesItsScratchEagerly) {
   CancelToken token;
   token.trip_after_polls(3000);  // mid-solve (n(n+1)/2 = 7260 steps)
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  const BatchStats stats = solver.stats_snapshot();
+  const BatchStats stats = solver.stats();
   EXPECT_EQ(stats.jobs_interrupted, 1u);
   EXPECT_GT(stats.interrupted_released_bytes, 0u);
   EXPECT_LT(util::arena_resident_bytes(), resident_after_success);
@@ -349,7 +383,7 @@ TEST(BatchSolverPlanCache, CountersReconcileAcrossHitMissAndEpsilon) {
                 cache.misses,
             cache.lookups);
   EXPECT_EQ(cache.inserts, 2u);  // the miss and the rejected re-solve
-  EXPECT_EQ(solver.stats_snapshot().warm_bound_violations, 0u);
+  EXPECT_EQ(solver.stats().warm_bound_violations, 0u);
 
   // The epsilon-served objective honors the tolerance against a fresh
   // cache-free solve of the drifted model.
@@ -393,7 +427,7 @@ TEST(BatchSolverPlanCache, BudgetEvictsLruAndEvictedJobsResolveBitwise) {
     EXPECT_EQ(again.plan, first[i].plan) << "job " << i;
   }
   EXPECT_LE(solver.plan_cache_resident_bytes(), resident / 3);
-  EXPECT_EQ(solver.stats_snapshot().warm_bound_violations, 0u);
+  EXPECT_EQ(solver.stats().warm_bound_violations, 0u);
 }
 
 TEST(BatchSolverPlanCache, ThreadCountDoesNotChangeServedResults) {
@@ -455,7 +489,7 @@ TEST(BatchSolverPlanCache, ResumedSolvePopulatesTheCacheIdentically) {
   EXPECT_EQ(solver.plan_cache_stats().inserts, 0u);
 
   const OptimizationResult resumed = solver.solve_job(job);
-  const BatchStats stats = solver.stats_snapshot();
+  const BatchStats stats = solver.stats();
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
   EXPECT_EQ(solver.plan_cache_stats().inserts, 1u);
 

@@ -341,7 +341,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   // Deep into the n(n+1)/2 steps, so slabs have certainly committed.
   token.trip_after_polls(static_cast<std::int64_t>(n * (n + 1) / 2) * 3 / 4);
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  BatchStats stats = solver.stats_snapshot();
+  BatchStats stats = solver.stats();
   EXPECT_EQ(stats.jobs_interrupted, 1u);
   EXPECT_EQ(stats.checkpoints_saved, 1u);
   EXPECT_GT(solver.checkpoint_resident_bytes(), 0u);
@@ -350,7 +350,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   const OptimizationResult resumed = solver.solve_job(job);
   EXPECT_EQ(resumed.expected_makespan, expected.expected_makespan);
   EXPECT_EQ(resumed.plan, expected.plan);
-  stats = solver.stats_snapshot();
+  stats = solver.stats();
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
   EXPECT_GT(stats.checkpoint_slabs_skipped, 0u);
   // Consumed on success: nothing left to resume (or meter).
@@ -359,7 +359,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   // A third, identical solve starts from scratch and still matches.
   const OptimizationResult again = solver.solve_job(job);
   EXPECT_EQ(again.expected_makespan, expected.expected_makespan);
-  stats = solver.stats_snapshot();
+  stats = solver.stats();
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
 }
 
@@ -373,7 +373,7 @@ TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
   CancelToken token;
   token.trip_after_polls(800);
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  const BatchStats stats = solver.stats_snapshot();
+  const BatchStats stats = solver.stats();
   EXPECT_EQ(stats.checkpoints_saved, 1u);
   EXPECT_EQ(stats.checkpoints_dropped, 1u);
   EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
@@ -389,7 +389,7 @@ TEST(SolveCheckpoint, DisabledCheckpointsKeepNothing) {
   CancelToken token;
   token.trip_after_polls(800);
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  const BatchStats stats = solver.stats_snapshot();
+  const BatchStats stats = solver.stats();
   EXPECT_EQ(stats.checkpoints_saved, 0u);
   EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
   // The retry simply restarts -- and is still exact.
@@ -398,6 +398,54 @@ TEST(SolveCheckpoint, DisabledCheckpointsKeepNothing) {
   const OptimizationResult expected = fresh.solve_job(job);
   EXPECT_EQ(result.expected_makespan, expected.expected_makespan);
   EXPECT_EQ(result.plan, expected.plan);
+}
+
+/// Interrupts job `a` on a plan-cache-free solver, then solves job `b`
+/// through the same solver.  `b` shares `a`'s coefficient tables but not
+/// its solve inputs, so `a`'s retained checkpoint must neither be resumed
+/// by `b` nor perturb its result.
+void expect_checkpoint_not_shared(const BatchJob& a, const BatchJob& b,
+                                  std::int64_t trip) {
+  const ParallelismGuard serial(1);
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  BatchSolver solver(options);
+  CancelToken token;
+  token.trip_after_polls(trip);
+  EXPECT_THROW(solver.solve_job(a, &token), SolveInterrupted);
+  ASSERT_EQ(solver.stats().checkpoints_saved, 1u);
+
+  const OptimizationResult result = solver.solve_job(b);
+  const OptimizationResult expected = optimize(b.algorithm, b.chain, b.costs);
+  EXPECT_EQ(result.expected_makespan, expected.expected_makespan);
+  EXPECT_EQ(result.plan, expected.plan);
+  EXPECT_EQ(solver.stats().checkpoints_resumed, 0u);
+  // `a`'s progress is still waiting for `a`.
+  EXPECT_GT(solver.checkpoint_resident_bytes(), 0u);
+}
+
+TEST(SolveCheckpoint, MemoryCostChangeDoesNotResumeAnotherJobsCheckpoint) {
+  // C_M and R_M are read at solve time, not baked into the tables: the
+  // committed ADMV* slabs of a cheap-memory run are wrong for this one.
+  const BatchJob a{Algorithm::kADMVstar, chain::make_uniform(48, 25000.0),
+                   platform::CostModel{platform::hera()}};
+  platform::Platform pricey = platform::hera();
+  pricey.c_mem *= 10.0;
+  pricey.r_mem = pricey.c_mem;
+  BatchJob b = a;
+  b.costs = platform::CostModel{pricey};
+  expect_checkpoint_not_shared(a, b, 800);
+}
+
+TEST(SolveCheckpoint, RecallChangeDoesNotResumeAnotherJobsCheckpoint) {
+  // The ADMV engine reads the recall per job; the tables do not.
+  const BatchJob a{Algorithm::kADMV, chain::make_uniform(24, 25000.0),
+                   platform::CostModel{platform::hera()}};
+  platform::Platform weaker = platform::hera();
+  weaker.recall *= 0.5;
+  BatchJob b = a;
+  b.costs = platform::CostModel{weaker};
+  expect_checkpoint_not_shared(a, b, 150);
 }
 
 }  // namespace
