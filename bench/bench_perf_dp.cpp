@@ -86,10 +86,6 @@ void BM_TwoLevelPruned(benchmark::State& state) {
   run_algorithm_mode(state, core::Algorithm::kADMVstar,
                      core::ScanMode::kMonotonePruned);
 }
-void BM_PartialPruned(benchmark::State& state) {
-  run_algorithm_mode(state, core::Algorithm::kADMV,
-                     core::ScanMode::kMonotonePruned);
-}
 
 // Dense vs pruned across seeded random platforms (4 per iteration), off
 // the uniform-chain/Hera happy path.  bench::kBenchSeed makes the
@@ -198,8 +194,6 @@ BENCHMARK(BM_PartialSerial)->Arg(50)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleLevelPruned)->Arg(100)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelPruned)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PartialPruned)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelRandomDense)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelRandomPruned)->Arg(100)->Unit(benchmark::kMillisecond);

@@ -59,8 +59,10 @@ class DpContext {
 
   /// Selects how the DPs run their inner argmin scans (see
   /// core/monotone_scanner.hpp).  Dense by default; set to
-  /// kMonotonePruned before handing the context to an optimizer.  The AD
-  /// baseline's degenerate single-cell scan ignores the knob.
+  /// kMonotonePruned before handing the context to an optimizer.  It
+  /// windows the Eq. (4) v1 scans of ADV* and ADMV*; AD (a degenerate
+  /// single-cell scan) and ADMV (whose segment costs the QI certificate
+  /// does not cover) ignore the knob and always scan dense.
   void set_scan_mode(ScanMode mode) noexcept { scan_mode_ = mode; }
   ScanMode scan_mode() const noexcept { return scan_mode_; }
 

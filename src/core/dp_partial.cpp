@@ -201,11 +201,12 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   const std::size_t n = ctx.n();
   // ADMV keeps the E_verif value table (its partial reconstruction reads
   // it), so a checkpoint holds everything a resumed run needs; without
-  // one the tables are plain solve-local state.
+  // one the tables are plain solve-local state.  ADMV always scans dense
+  // (see below), whatever ctx.scan_mode() says.
   SolveCheckpoint* ckpt = ctx.checkpoint();
   std::unique_ptr<detail::LevelTables> local;
   if (ckpt != nullptr) {
-    ckpt->begin_run(n, /*keep_verif_values=*/true, ctx.scan_mode());
+    ckpt->begin_run(n, /*keep_verif_values=*/true, ScanMode::kDense);
   } else {
     local = std::make_unique<detail::LevelTables>(n);
   }
@@ -214,11 +215,11 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   const auto& cm = ctx.costs();
   const double g = cm.miss();
 
-  // Under kMemChainOnly (below) this kernel is invoked exactly once per
-  // (d1, m1, j) step with [lo, hi) = [m1, j), so the planes are built
-  // once per scan, exactly as the PartialScratch contract describes.  A
-  // profile that windowed the v1 scans would re-enter the kernel per
-  // step and would need to key the plane builds.
+  // The dense engine invokes this kernel exactly once per (d1, m1, j)
+  // step with [lo, hi) = [m1, j), so the planes are built once per scan,
+  // exactly as the PartialScratch contract describes.  A windowed v1 scan
+  // would re-enter the kernel per step and would need to key the plane
+  // builds.
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
                         std::size_t hi, std::size_t j, double emem_at_m1,
                         const double* everif_row, double& best,
@@ -240,18 +241,17 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
     }
   };
 
-  // ADMV windows only its E_mem m1 chain: measured on the partial
-  // segment costs, the v1 argmin stays pinned to m1 (nothing to prune)
-  // and the fused inner solver's codegen is sensitive to the v1-scan
-  // call structure (see LevelScanProfile).  K is pinned to ScalarKernels
-  // for the same reason: each of its "candidates" is a full O(len^2)
-  // inner DP, not a stream element, so there is nothing for the vector
-  // argmin tiers to vectorize -- and re-instantiating the engine around
-  // the fused solver for each tier would only risk its codegen.
-  ScanStats scan_stats;
-  detail::run_level_dp<simd::ScalarKernels>(
-      ctx, tables, scan, &scan_stats,
-      detail::LevelScanProfile::kMemChainOnly);
+  // ADMV ignores ctx.scan_mode() and runs the dense engine only: its
+  // segment costs are not the Eq. (4) streams the QI certificate checks,
+  // measured on them the v1 argmin stays pinned to m1 (nothing to prune),
+  // and the fused inner solver's codegen is sensitive to the v1-scan call
+  // structure.  K is pinned to ScalarKernels for the same reason: each of
+  // its "candidates" is a full O(len^2) inner DP, not a stream element,
+  // so there is nothing for the vector argmin tiers to vectorize -- and
+  // re-instantiating the engine around the fused solver for each tier
+  // would only risk its codegen.  Its scan counters are all zero.
+  detail::run_level_dp_impl</*kPruned=*/false, simd::ScalarKernels>(
+      ctx, tables, scan, /*scan_stats=*/nullptr);
 
   // Partial positions of a winning segment are re-derived from the (now
   // final) E_verif / E_mem tables: same inputs, same deterministic inner
@@ -276,7 +276,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   };
 
   return OptimizationResult{detail::extract_plan(ctx, tables, partials),
-                            tables.edisk[n], scan_stats};
+                            tables.edisk[n]};
 }
 
 }  // namespace chainckpt::core

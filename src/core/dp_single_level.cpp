@@ -169,6 +169,24 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
       pruned
           ? static_cast<std::size_t>(std::max(1, util::hardware_parallelism()))
           : 0);
+  // One E_verif row in this solve's scan mode, returning the row's scan
+  // counters (zeros when dense).  The mode branch is taken per row, here,
+  // outside the fused kernel; plan extraction re-streams rows through the
+  // same helper, so the recovered argmins are the ones the fold consumed.
+  const auto stream_row = [&](std::size_t d1, std::size_t limit, double* row,
+                              std::int32_t* args) {
+    if (!pruned) {
+      stream_everif_row<false, K>(ctx, d1, limit,
+                                  options.allow_extra_verifications, row,
+                                  args, nullptr, nullptr);
+      return ScanStats{};
+    }
+    MonotoneScanner scanner(n);
+    stream_everif_row<true, K>(ctx, d1, limit,
+                               options.allow_extra_verifications, row, args,
+                               &scanner, cert);
+    return scanner.stats();
+  };
   SingleLevelScratch& s = single_level_scratch();
   s.ensure(n, block);
   std::fill(s.run_best.begin(), s.run_best.begin() + stride,
@@ -184,21 +202,13 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
       // Cancellation checkpoint: per streamed row (a row is O(n) scan
       // steps), keeping the fused Eq. (4) kernel itself untouched.
       poll_cancellation(cancel);
+      const ScanStats row_stats =
+          stream_row(d1, n, rows + (d1 - b0) * stride, nullptr);
       if (pruned) {
-        MonotoneScanner scanner(n);
-        stream_everif_row<true, K>(ctx, d1, n,
-                                   options.allow_extra_verifications,
-                                   rows + (d1 - b0) * stride, nullptr,
-                                   &scanner, cert);
         const std::size_t slot =
             std::min(static_cast<std::size_t>(util::worker_index()),
                      worker_stats.size() - 1);
-        worker_stats[slot].scan += scanner.stats();
-      } else {
-        stream_everif_row<false, K>(ctx, d1, n,
-                                    options.allow_extra_verifications,
-                                    rows + (d1 - b0) * stride, nullptr,
-                                    nullptr, nullptr);
+        worker_stats[slot].scan += row_stats;
       }
     });
     // Fold the block into the running E_disk minima.  E_disk(d1) excludes
@@ -232,19 +242,7 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
     const auto d1 = static_cast<std::size_t>(s.best_d1[d2]);
     CHAINCKPT_ASSERT(s.best_d1[d2] >= 0 && d1 < d2, "broken E_disk argmin");
     plan.set_action(d2, plan::Action::kDiskCheckpoint);
-    if (pruned) {
-      // Same mode as the fold, so the re-streamed values and argmins are
-      // the ones the running minima consumed.
-      MonotoneScanner scanner(n);
-      stream_everif_row<true, K>(ctx, d1, d2,
-                                 options.allow_extra_verifications, row,
-                                 args, &scanner, cert);
-      scan_stats += scanner.stats();
-    } else {
-      stream_everif_row<false, K>(ctx, d1, d2,
-                                  options.allow_extra_verifications, row,
-                                  args, nullptr, nullptr);
-    }
+    scan_stats += stream_row(d1, d2, row, args);
     std::size_t v2 = d2;
     while (v2 > d1) {
       const auto v1 = static_cast<std::size_t>(args[v2]);

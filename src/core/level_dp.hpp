@@ -161,24 +161,10 @@ inline SlabScratch& slab_scratch() {
 /// result bit-identical to the dense scan.  It must be safe to call
 /// concurrently for different d1.
 ///
-/// Which inner scans of the engine the pruned mode windows.  kFull
-/// windows both the v1 scans and the E_mem m1 chain (the Eq. (4) DPs,
-/// whose v1 argmin drifts right with j).  kMemChainOnly windows only the
-/// m1 chain: measured on the ADMV segment costs, the v1 argmin is
-/// degenerate (pinned to m1, nothing to prune) and its heavy fused inner
-/// solver is acutely sensitive to the extra v1-scan call structure, so
-/// the partial DP keeps its v1 scans dense by construction.
+/// Only the v1 scans are windowed: the QI certificate checks the
+/// coefficient streams those Eq. (4) scans read.  The E_mem m1 chain and
+/// the E_disk pass always run the dense K::sum.
 ///
-/// Gate honesty: the QI certificate probes the Eq. (4) column streams.
-/// For the v1 scans of the Eq. (4) DPs that is the cost function being
-/// scanned; for the E_mem chain (whose candidates are derived
-/// E_verif/E_mem values, and under kMemChainOnly come from the
-/// partial-framework solver entirely) the certificate is a structural
-/// proxy, not a check of the scanned function -- there the per-step
-/// boundary guard plus the oracle/property batteries carry the safety
-/// argument.
-enum class LevelScanProfile { kFull, kMemChainOnly };
-
 /// `scan_stats`, when non-null, accumulates the pruning counters of every
 /// slab (plus zeros in dense mode).
 ///
@@ -190,17 +176,17 @@ enum class LevelScanProfile { kFull, kMemChainOnly };
 /// OUTSIDE the per-(d1, j) step body, which stays byte-for-byte the
 /// uncheckpointed loop.
 ///
-/// Both window modes are compile-time parameters of the implementation:
+/// The window mode is a compile-time parameter of the implementation:
 /// the dense instantiation must stay token-identical to the
 /// scanner-free engine -- even a dead runtime branch or an out-of-line
 /// call in the step body measurably deoptimizes the fused kernels GCC
 /// inlines into the slab (2x swings on the ADMV inner solver) -- so
-/// run_level_dp dispatches once on ctx.scan_mode() and the profile.
-/// The SIMD tier K follows the same discipline: a compile-time kernel
-/// facade (core/simd/argmin_kernels.hpp), dispatched once at driver
-/// entry, never a runtime branch in the step body.
-template <bool kWindowV1, bool kWindowMem, typename K,
-          typename ColumnScanner>
+/// run_level_dp dispatches once on ctx.scan_mode(), and drivers whose
+/// scans have nothing to window (ADMV) instantiate the dense body
+/// directly.  The SIMD tier K follows the same discipline: a
+/// compile-time kernel facade (core/simd/argmin_kernels.hpp), dispatched
+/// once at driver entry, never a runtime branch in the step body.
+template <bool kPruned, typename K, typename ColumnScanner>
 void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
                        const ColumnScanner& scan, ScanStats* scan_stats) {
   const std::size_t n = ctx.n();
@@ -208,8 +194,7 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
   const CancelToken* cancel = ctx.cancel_token();
   SolveCheckpoint* ckpt = ctx.checkpoint();
   const analysis::QiCertificate* cert =
-      (kWindowV1 || kWindowMem) ? &ctx.seg_tables().verify_quadrangle()
-                                : nullptr;
+      kPruned ? &ctx.seg_tables().verify_quadrangle() : nullptr;
 
   // Per-worker scan accumulators, folded once after the region -- the
   // old per-slab mutex serialized every slab exit through one lock.
@@ -219,7 +204,7 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
     ScanStats scan;
   };
   const bool fold_local_stats =
-      (kWindowV1 || kWindowMem) && ckpt == nullptr && scan_stats != nullptr;
+      kPruned && ckpt == nullptr && scan_stats != nullptr;
   std::vector<WorkerStats> worker_stats(
       fold_local_stats
           ? static_cast<std::size_t>(std::max(1, util::hardware_parallelism()))
@@ -244,9 +229,7 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
     double* column = scratch.column.data();
     const std::size_t stride = n + 1;
     const double* emem_row = t.emem.data() + t.idx2(d1, 0);
-    MonotoneScanner scanner(kWindowV1 ? n : 0);
-    MonotoneScanner mem_scanner(kWindowMem ? n : 0);
-    if constexpr (kWindowMem) mem_scanner.begin_row(d1, cert->row_ok(d1));
+    MonotoneScanner scanner(kPruned ? n : 0);
 
     t.emem[t.idx2(d1, d1)] = 0.0;  // E_mem(d1, d1) = 0
     t.best_m1[t.idx2(d1, d1)] = static_cast<std::int32_t>(d1);
@@ -263,14 +246,14 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
         if (m1 + 1 == j) {
           row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
           if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-          if constexpr (kWindowV1) scanner.begin_row(m1, cert->row_ok(m1));
+          if constexpr (kPruned) scanner.begin_row(m1, cert->row_ok(m1));
         }
         const double emem_at_m1 = emem_row[m1];
         CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
                          "E_mem(d1, m1) must be finalized before use");
         double best = std::numeric_limits<double>::infinity();
         std::int32_t best_arg = -1;
-        if constexpr (kWindowV1) {
+        if constexpr (kPruned) {
           scanner.step(
               m1, j,
               [&](std::size_t lo, std::size_t hi, double& b,
@@ -289,28 +272,17 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
       // E_mem(d1, j): contiguous scan over the gathered E_verif column.
       double best = std::numeric_limits<double>::infinity();
       std::int32_t best_arg = -1;
-      if constexpr (kWindowMem) {
-        mem_scanner.step(
-            d1, j,
-            [&](std::size_t lo, std::size_t hi, double& b,
-                std::int32_t& a) {
-              K::sum(emem_row, column, lo, hi, b, a);
-            },
-            best, best_arg);
-      } else {
-        K::sum(emem_row, column, d1, j, best, best_arg);
-      }
+      K::sum(emem_row, column, d1, j, best, best_arg);
       t.emem[t.idx2(d1, j)] = best + costs.c_mem_after(j);
       t.best_m1[t.idx2(d1, j)] = best_arg;
     }
     // Slab exit: fold this slab's scan counters out, and commit the slab
     // to the checkpoint -- its table rows are final from here on.
     ScanStats slab_stats;
-    if constexpr (kWindowV1) slab_stats += scanner.stats();
-    if constexpr (kWindowMem) slab_stats += mem_scanner.stats();
+    if constexpr (kPruned) slab_stats = scanner.stats();
     if (ckpt != nullptr) {
       ckpt->commit_slab(d1, slab_stats);
-    } else if constexpr (kWindowV1 || kWindowMem) {
+    } else if constexpr (kPruned) {
       if (fold_local_stats) {
         const std::size_t slot =
             std::min(static_cast<std::size_t>(util::worker_index()),
@@ -372,16 +344,11 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
 template <typename K, typename ColumnScanner>
 void run_level_dp(const DpContext& ctx, LevelTables& t,
                   const ColumnScanner& scan,
-                  ScanStats* scan_stats = nullptr,
-                  LevelScanProfile profile = LevelScanProfile::kFull) {
+                  ScanStats* scan_stats = nullptr) {
   if (ctx.scan_mode() == ScanMode::kMonotonePruned) {
-    if (profile == LevelScanProfile::kFull) {
-      run_level_dp_impl<true, true, K>(ctx, t, scan, scan_stats);
-    } else {
-      run_level_dp_impl<false, true, K>(ctx, t, scan, scan_stats);
-    }
+    run_level_dp_impl<true, K>(ctx, t, scan, scan_stats);
   } else {
-    run_level_dp_impl<false, false, K>(ctx, t, scan, scan_stats);
+    run_level_dp_impl<false, K>(ctx, t, scan, scan_stats);
   }
 }
 

@@ -1,12 +1,13 @@
 // Monotonicity-pruned argmin scans for the level DPs.
 //
-// Every inner loop of the three dynamic programs is the same shape: for a
+// The Eq. (4) v1 scans of ADV* and ADMV* are all the same shape: for a
 // row identified by (d1, m1) and a right endpoint j that only grows, find
 // the leftmost strict-less argmin of a candidate function over v1 in
 // [m1, j).  Empirically (and provably for Knuth/Yao quadrangle-inequality
 // cost functions) the argmin is non-decreasing in j, so the scan can start
-// at the previous argmin instead of m1 -- on the paper's platforms this
-// cuts the O(n^4)/O(n^6) v1/m1 scans to 25-45% of their dense cell count.
+// at the previous argmin instead of m1.  Only these scans are windowed:
+// the E_mem m1 chain, the E_disk pass and ADMV's partial-segment scans
+// always run dense.
 //
 // Eq. (4)'s cost structure has no written QI proof (the E_verif * c cross
 // term has indefinite sign), so the pruned mode is fenced by three runtime
@@ -15,10 +16,7 @@
 //   1. QI gate (per row): analysis::SegmentTables::verify_quadrangle()
 //      checks the quadrangle inequality on every coefficient stream the
 //      Eq. (4) kernel reads; rows whose coefficient suffix violates it
-//      are scanned densely from the start (ScanStats::gated_rows).  For
-//      scans over derived values rather than those streams (the E_mem
-//      m1 chain -- see detail::LevelScanProfile) the certificate is a
-//      structural proxy and the remaining fences carry the weight.
+//      are scanned densely from the start (ScanStats::gated_rows).
 //   2. Boundary guard (per step): the window starts one cell LEFT of the
 //      previous argmin; if the leftmost argmin lands on that boundary
 //      cell, it tied or beat everything to its right -- the argmin moved

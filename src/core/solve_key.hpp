@@ -31,6 +31,7 @@
 #include "chain/chain.hpp"
 #include "core/optimizer.hpp"
 #include "platform/cost_model.hpp"
+#include "util/hash.hpp"
 
 namespace chainckpt::core {
 
@@ -44,13 +45,8 @@ struct SolveKey {
 struct SolveKeyHash {
   /// FNV-1a over the 64-bit words, byte by byte.
   std::size_t operator()(const SolveKey& key) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint64_t word : key.bits) {
-      for (int shift = 0; shift < 64; shift += 8) {
-        h ^= (word >> shift) & 0xffu;
-        h *= 1099511628211ull;
-      }
-    }
+    std::uint64_t h = util::kFnv1aOffset;
+    for (const std::uint64_t word : key.bits) h = util::fnv1a_u64(word, h);
     return static_cast<std::size_t>(h);
   }
 };

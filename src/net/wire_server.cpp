@@ -9,10 +9,12 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -28,6 +30,10 @@ namespace {
 /// Frames per writev batch (IOV_MAX is far larger; 16 keeps the iovec
 /// array on the stack while still aggregating whole reply bursts).
 constexpr std::size_t kMaxIov = 16;
+
+/// Deficit-round-robin quantum in admission units (service::price_units
+/// currency): the deficit each ingress visit grants a tenant.
+constexpr double kDrrQuantumUnits = 8.0;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -235,7 +241,7 @@ class IoDriver {
   IoDriver(WireServer::State& state, service::SolverService& service,
            const WireServerOptions& options)
       : st_(state), service_(service), options_(options),
-        ingress_(options.drr_quantum_units) {}
+        ingress_(kDrrQuantumUnits) {}
 
   void run();
 
@@ -389,7 +395,8 @@ void IoDriver::handle_frame(const std::shared_ptr<Connection>& conn,
       WelcomePayload welcome;
       welcome.version = kProtocolVersion;
       welcome.max_payload_bytes = options_.max_payload_bytes;
-      welcome.max_n = options_.advertised_max_n;
+      welcome.max_n = static_cast<std::uint32_t>(std::min<std::size_t>(
+          service_.max_n(), std::numeric_limits<std::uint32_t>::max()));
       welcome.server = options_.server_name;
       reply.type = FrameType::kWelcome;
       send_frame(conn, reply, encode_welcome(welcome));

@@ -56,13 +56,9 @@ struct WireServerOptions {
   std::uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Retry hint attached to admission queue-full backpressure.
   std::uint32_t queue_full_retry_ms = 50;
-  /// DRR quantum in admission units (service::price_units currency).
-  double drr_quantum_units = 8.0;
   /// Quota for tenants without an explicit entry (default: unlimited).
   TenantQuota default_quota;
   std::map<std::uint64_t, TenantQuota> tenant_quotas;
-  /// Advertised in kWelcome; the solver's own max_n is authoritative.
-  std::uint32_t advertised_max_n = 900;
   std::string server_name = "chainckpt-wire/1";
 };
 

@@ -5,6 +5,7 @@
 
 #include "scenario/report.hpp"
 #include "scenario/spec_io.hpp"
+#include "util/hash.hpp"
 
 namespace chainckpt::scenario {
 
@@ -126,8 +127,8 @@ std::uint64_t derive_cell_seed(std::uint64_t master_seed,
   // Name-keyed, not index-keyed: adding or removing an axis value leaves
   // every other cell's stream untouched.
   const std::uint64_t mixed =
-      fnv1a(cell_name.data(), cell_name.size(),
-            master_seed ^ 0x9E3779B97F4A7C15ULL);
+      util::fnv1a(cell_name.data(), cell_name.size(),
+                  master_seed ^ 0x9E3779B97F4A7C15ULL);
   return mixed == 0 ? 0x1234567ULL : mixed;
 }
 

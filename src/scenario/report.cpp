@@ -4,11 +4,11 @@
 #include <cstring>
 
 #include "plan/plan_io.hpp"
+#include "util/hash.hpp"
 
 namespace chainckpt::scenario {
 
 namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 /// Shortest-round-trip double rendering ("%.17g" preserves the exact
 /// value; the fixed format keeps the byte-determinism contract).
@@ -36,17 +36,6 @@ std::string json_escape(const std::string& s) {
 const char* json_bool(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed) noexcept {
-  std::uint64_t h = seed;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -57,11 +46,11 @@ std::string hex64(std::uint64_t v) {
 std::uint64_t result_digest(const plan::ResiliencePlan& plan,
                             double expected_makespan) {
   const std::string text = plan::to_text(plan);
-  std::uint64_t h = fnv1a(text.data(), text.size());
+  const std::uint64_t h = util::fnv1a(text.data(), text.size());
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(expected_makespan), "double is 64-bit");
   std::memcpy(&bits, &expected_makespan, sizeof(bits));
-  return fnv1a(&bits, sizeof(bits), h);
+  return util::fnv1a(&bits, sizeof(bits), h);
 }
 
 void ScenarioReport::finalize() {
@@ -188,7 +177,7 @@ std::string report_to_json(const ScenarioReport& report) {
 
 std::string report_digest(const ScenarioReport& report) {
   const std::string json = report_to_json(report);
-  return hex64(fnv1a(json.data(), json.size()));
+  return hex64(util::fnv1a(json.data(), json.size()));
 }
 
 }  // namespace chainckpt::scenario

@@ -31,11 +31,6 @@
 
 namespace chainckpt::scenario {
 
-/// FNV-1a 64 over arbitrary bytes; the digest primitive for plans,
-/// objectives, and traces.
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t seed = 1469598103934665603ULL) noexcept;
-
 /// 16-hex-digit lowercase rendering of a 64-bit digest.
 std::string hex64(std::uint64_t v);
 

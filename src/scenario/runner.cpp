@@ -17,6 +17,7 @@
 #include "service/solver_service.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -56,7 +57,7 @@ std::string double_bits_hex(double v) {
 /// indices would collide with them).
 std::uint64_t sim_lane_seed(const ScenarioSpec& spec) {
   static const char kTag[] = "sim-lane";
-  return fnv1a(kTag, sizeof(kTag) - 1, spec.seed);
+  return util::fnv1a(kTag, sizeof(kTag) - 1, spec.seed);
 }
 
 sim::InjectorFactory make_injector_factory(const ScenarioSpec& spec,
@@ -378,7 +379,7 @@ void run_cache_lane(const ScenarioSpec& spec, const MaterializedCell& cell,
 
   static const char kTag[] = "cache-lane";
   util::Xoshiro256 rng = util::Xoshiro256::stream(
-      fnv1a(kTag, sizeof(kTag) - 1, spec.seed), 0);
+      util::fnv1a(kTag, sizeof(kTag) - 1, spec.seed), 0);
   const std::size_t n = cell.chain.size();
   for (std::size_t r = 0; r < spec.cache.requests; ++r) {
     const auto pick = static_cast<std::size_t>(

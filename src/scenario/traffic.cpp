@@ -3,22 +3,13 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace chainckpt::scenario {
 
 namespace {
 constexpr std::uint64_t kTrafficStream = 4;
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
 
 service::Priority draw_priority(const TrafficSpec& t,
                                 util::Xoshiro256& rng) {
@@ -34,12 +25,12 @@ service::Priority draw_priority(const TrafficSpec& t,
 }  // namespace
 
 std::uint64_t ArrivalTrace::digest() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnv1aOffset;
   for (const Arrival& a : arrivals) {
-    fnv_u64(h, a.offset_us);
-    fnv_u64(h, static_cast<std::uint64_t>(a.priority));
-    fnv_u64(h, a.deadline_ms);
-    fnv_u64(h, a.algorithm_index);
+    h = util::fnv1a_u64(a.offset_us, h);
+    h = util::fnv1a_u64(static_cast<std::uint64_t>(a.priority), h);
+    h = util::fnv1a_u64(a.deadline_ms, h);
+    h = util::fnv1a_u64(a.algorithm_index, h);
   }
   return h;
 }

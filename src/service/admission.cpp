@@ -125,9 +125,7 @@ bool AdmissionController::fits(double cost_units,
 }
 
 void AdmissionController::observe(core::Algorithm algorithm,
-                                  double cost_units,
-                                  const core::ScanStats& scan, double seconds,
-                                  std::size_t resident_bytes) {
+                                  double cost_units, double seconds) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ClassCalibration& cls = classes_[class_index(algorithm)];
   if (seconds > 0.0 && cost_units > 0.0) {
@@ -137,13 +135,7 @@ void AdmissionController::observe(core::Algorithm algorithm,
                                : (1.0 - kEwmaAlpha) * cls.units_per_second +
                                      kEwmaAlpha * rate;
   }
-  const double prune = scan.prune_fraction();
-  cls.prune_fraction = cls.samples == 0
-                           ? prune
-                           : (1.0 - kEwmaAlpha) * cls.prune_fraction +
-                                 kEwmaAlpha * prune;
   ++cls.samples;
-  resident_bytes_ = resident_bytes;
 }
 
 AdmissionController::Estimate AdmissionController::estimate(
@@ -160,13 +152,7 @@ AdmissionController::Estimate AdmissionController::estimate_locked(
   if (cls.units_per_second > 0.0) {
     est.seconds = est.cost_units / cls.units_per_second;
   }
-  est.prune_fraction = cls.prune_fraction;
   return est;
-}
-
-std::size_t AdmissionController::observed_resident_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_;
 }
 
 std::size_t AdmissionController::class_index(

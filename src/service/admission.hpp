@@ -11,13 +11,11 @@
 // in-flight work stays under the configured concurrency budget.
 //
 // Pricing is a static model; calibration makes it actionable.  Every
-// completed job reports its observed wall time, its ScanStats (whose
-// dense/scanned cell counts measure how much of the priced work the
-// monotonicity pruning actually skipped), and the solver's resident table
-// bytes.  The controller folds these into per-class EWMA throughput
-// estimates, so estimate() can translate abstract units into expected
-// seconds once traffic has warmed it up -- the numbers an operator tunes
-// the budget against (see docs/SERVER.md).
+// completed job reports its priced units and observed wall time.  The
+// controller folds these into per-class EWMA throughput estimates, so
+// estimate() can translate abstract units into expected seconds once
+// traffic has warmed it up -- the numbers an operator tunes the budget
+// against (see docs/SERVER.md).
 //
 // Calibration also closes the loop on deadlines: a submission that
 // carries one is checked against the class's calibrated estimate at
@@ -150,28 +148,20 @@ class AdmissionController {
   /// while `inflight_units` are already running?
   bool fits(double cost_units, double inflight_units) const noexcept;
 
-  /// Calibration feed, called per completed job: priced units, the
-  /// solve's ScanStats, observed wall seconds, and the solver's resident
-  /// table bytes after the job.
+  /// Calibration feed, called per completed job: priced units and
+  /// observed wall seconds.
   void observe(core::Algorithm algorithm, double cost_units,
-               const core::ScanStats& scan, double seconds,
-               std::size_t resident_bytes);
+               double seconds);
 
   struct Estimate {
     double cost_units = 0.0;
     /// Expected wall seconds from the class's calibrated throughput;
     /// negative (kUncalibrated) until the class has completed a job.
     double seconds = kUncalibrated;
-    /// EWMA fraction of priced cells the pruned scans skipped (0 while
-    /// running ScanMode::kDense).
-    double prune_fraction = 0.0;
   };
   static constexpr double kUncalibrated = -1.0;
 
   Estimate estimate(core::Algorithm algorithm, std::size_t n) const;
-
-  /// Most recent resident-table-bytes observation (0 before any).
-  std::size_t observed_resident_bytes() const;
 
  private:
   static std::size_t class_index(core::Algorithm algorithm) noexcept;
@@ -180,14 +170,12 @@ class AdmissionController {
 
   struct ClassCalibration {
     double units_per_second = 0.0;  ///< EWMA; 0 = no sample yet
-    double prune_fraction = 0.0;    ///< EWMA of ScanStats::prune_fraction
     std::size_t samples = 0;
   };
 
   AdmissionConfig config_;
   mutable std::mutex mutex_;
   ClassCalibration classes_[6];
-  std::size_t resident_bytes_ = 0;
 };
 
 }  // namespace chainckpt::service

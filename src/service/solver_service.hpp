@@ -211,6 +211,10 @@ class SolverService {
   AdmissionController::Estimate estimate(core::Algorithm algorithm,
                                          std::size_t n) const;
 
+  /// Longest chain the embedded solver accepts (ServiceOptions::solver
+  /// max_n); the wire edge advertises it in kWelcome.
+  std::size_t max_n() const noexcept { return options_.solver.max_n; }
+
   /// Table-cache + arena residency of the embedded solver.
   std::size_t resident_bytes() const;
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,10 +13,12 @@
 #include "../../bench/bench_common.hpp"
 #include "analysis/evaluator.hpp"
 #include "chain/patterns.hpp"
+#include "core/cancellation.hpp"
 #include "core/dp_partial.hpp"
 #include "core/dp_single_level.hpp"
 #include "core/dp_two_level.hpp"
 #include "core/optimizer.hpp"
+#include "core/solve_checkpoint.hpp"
 #include "platform/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -227,15 +230,78 @@ TEST(PrunedEquivalence, QuadrangleViolationEngagesFallbackAndStaysExact) {
   EXPECT_LT(cert.worst_defect, 0.0);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
 
+  // ADMV windows nothing, so it has no rows to gate (see
+  // AdmvIgnoresTheScanModeFreshAndResumed).
   DpContext dense_ctx(chain, costs);
   for (const Algorithm algorithm :
-       {Algorithm::kADVstar, Algorithm::kADMVstar, Algorithm::kADMV}) {
+       {Algorithm::kADVstar, Algorithm::kADMVstar}) {
     const auto dense = optimize(algorithm, dense_ctx);
     const auto pruned = optimize(algorithm, pruned_ctx);
     EXPECT_EQ(dense.expected_makespan, pruned.expected_makespan);
     EXPECT_EQ(dense.plan.compact_string(), pruned.plan.compact_string());
     EXPECT_GT(pruned.scan.gated_rows, 0u)
         << to_string(algorithm) << ": QI fallback did not engage";
+  }
+}
+
+bool all_zero(const ScanStats& s) {
+  return s.dense_cells == 0 && s.cells_scanned == 0 && s.steps == 0 &&
+         s.guard_checks == 0 && s.guard_fallbacks == 0 &&
+         s.gated_rows == 0 && s.order_fallback_rows == 0 &&
+         s.windowed_rows == 0;
+}
+
+TEST(PrunedEquivalence, AdmvIgnoresTheScanModeFreshAndResumed) {
+  // ADMV windows none of its scans: under kMonotonePruned it runs the
+  // dense engine, so its result is the dense one bit for bit with
+  // all-zero scan counters -- fresh, and resumed (under either mode)
+  // from the checkpoint an interrupted pruned run left behind.
+  struct SerialGuard {
+    SerialGuard() { util::set_parallelism(1); }
+    ~SerialGuard() { util::set_parallelism(0); }
+  } serial;  // poll k is then a deterministic slab-frontier boundary
+  util::Xoshiro256 rng(util::Xoshiro256::stream(bench::kBenchSeed, 21)());
+  const std::size_t n = 20;
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto platform =
+        bench::random_platform(rng, "AdmvMode" + std::to_string(trial));
+    const platform::CostModel costs(platform);
+    const auto chain = chain::make_random(n, 25000.0 * n, rng);
+    const std::string label = platform.describe();
+    const DpContext dense_ctx(chain, costs);
+    const auto dense = optimize(Algorithm::kADMV, dense_ctx);
+    DpContext pruned_ctx(chain, costs);
+    pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
+    const auto pruned = optimize(Algorithm::kADMV, pruned_ctx);
+    EXPECT_EQ(dense.expected_makespan, pruned.expected_makespan) << label;
+    EXPECT_EQ(dense.plan, pruned.plan) << label;
+    EXPECT_TRUE(all_zero(pruned.scan)) << label;
+
+    for (const ScanMode resume_mode :
+         {ScanMode::kMonotonePruned, ScanMode::kDense}) {
+      SolveCheckpoint ckpt;
+      {
+        DpContext ctx(chain, costs);
+        ctx.set_scan_mode(ScanMode::kMonotonePruned);
+        CancelToken token;
+        token.trip_after_polls(static_cast<std::int64_t>(n * (n + 1) / 4));
+        ctx.set_cancel_token(&token);
+        ctx.set_checkpoint(&ckpt);
+        EXPECT_THROW(optimize(Algorithm::kADMV, ctx), SolveInterrupted)
+            << label;
+      }
+      ASSERT_TRUE(ckpt.has_progress()) << label;
+      const std::size_t committed = ckpt.slabs_completed();
+      DpContext ctx(chain, costs);
+      ctx.set_scan_mode(resume_mode);
+      ctx.set_checkpoint(&ckpt);
+      const auto resumed = optimize(Algorithm::kADMV, ctx);
+      EXPECT_TRUE(ckpt.last_run_resumed()) << label;
+      EXPECT_EQ(ckpt.last_run_slabs_skipped(), committed) << label;
+      EXPECT_EQ(resumed.expected_makespan, dense.expected_makespan) << label;
+      EXPECT_EQ(resumed.plan, dense.plan) << label;
+      EXPECT_TRUE(all_zero(resumed.scan)) << label;
+    }
   }
 }
 

@@ -107,6 +107,20 @@ TEST(WireRoundtrip, EveryAlgorithmBitwiseIdenticalToInProcessSolve) {
   server.stop();
 }
 
+TEST(WireRoundtrip, WelcomeAdvertisesTheServicesMaxN) {
+  // kWelcome carries the service's own chain-length limit, not a
+  // separately configured number.
+  service::ServiceOptions options;
+  options.solver.max_n = 300;
+  service::SolverService svc(options);
+  WireServer server(svc);
+  server.start();
+  WireClient client(client_options(server.port()));
+  EXPECT_EQ(client.hello().max_n, 300u);
+  client.goodbye();
+  server.stop();
+}
+
 TEST(WireRoundtrip, PerPositionCostModelAndWeibullLawSurviveTheWire) {
   service::SolverService svc;
   WireServer server(svc);
