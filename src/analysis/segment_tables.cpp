@@ -108,43 +108,46 @@ unsigned SegmentTables::stream_mask_for(const SegmentTables& base,
 void SegmentTables::build(const chain::WeightTable& table,
                           const platform::CostModel& costs, unsigned mask,
                           const SegmentTables* base) {
-  const std::size_t stride = n_ + 1;
-  const std::size_t cells = stride * stride;
-
-  // Allocate the streams the mask rebuilds; copy the rest from the donor
-  // byte for byte.  A null donor (the full build) must carry a full mask.
-  const auto prepare = [&](std::vector<double>& mine,
-                           const std::vector<double> SegmentTables::*member,
-                           unsigned bit, std::size_t size) {
+  // Allocate the streams the mask rebuilds -- uninitialized, since the fill
+  // below writes every cell of a rebuilt triangle -- and copy the rest from
+  // the donor byte for byte.  A null donor (the full build) must carry a
+  // full mask.
+  const auto prepare = [&](util::TriangleStream& mine,
+                           const util::TriangleStream SegmentTables::*member,
+                           unsigned bit) {
     if (mask & bit) {
-      mine.assign(size, 0.0);
+      mine.resize(util::triangle_cells(n_));
     } else {
       mine = base->*member;
     }
   };
-  prepare(vg_, &SegmentTables::vg_, kStreamVg, stride);
-  prepare(vp_, &SegmentTables::vp_, kStreamVp, stride);
   if (mask & kStreamVg) {
+    vg_.assign(n_ + 1, 0.0);
     for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
+  } else {
+    vg_ = base->vg_;
   }
   if (mask & kStreamVp) {
+    vp_.assign(n_ + 1, 0.0);
     for (std::size_t i = 1; i <= n_; ++i) vp_[i] = costs.v_partial_after(i);
+  } else {
+    vp_ = base->vp_;
   }
 
-  prepare(exvg_c_, &SegmentTables::exvg_c_, kStreamExvg, cells);
-  prepare(b_c_, &SegmentTables::b_c_, kStreamB, cells);
-  prepare(c_c_, &SegmentTables::c_c_, kStreamC, cells);
-  prepare(d_c_, &SegmentTables::d_c_, kStreamD, cells);
-  prepare(fs_c_, &SegmentTables::fs_c_, kStreamFs, cells);
+  prepare(exvg_c_, &SegmentTables::exvg_c_, kStreamExvg);
+  prepare(b_c_, &SegmentTables::b_c_, kStreamB);
+  prepare(c_c_, &SegmentTables::c_c_, kStreamC);
+  prepare(d_c_, &SegmentTables::d_c_, kStreamD);
+  prepare(fs_c_, &SegmentTables::fs_c_, kStreamFs);
   if (has_rows_) {
-    prepare(exv_r_, &SegmentTables::exv_r_, kStreamExv, cells);
-    prepare(b_r_, &SegmentTables::b_r_, kStreamB, cells);
-    prepare(c_r_, &SegmentTables::c_r_, kStreamC, cells);
-    prepare(d_r_, &SegmentTables::d_r_, kStreamD, cells);
-    prepare(tl_r_, &SegmentTables::tl_r_, kStreamTl, cells);
-    prepare(pf_r_, &SegmentTables::pf_r_, kStreamPf, cells);
-    prepare(ef_r_, &SegmentTables::ef_r_, kStreamEf, cells);
-    prepare(w_r_, &SegmentTables::w_r_, kStreamW, cells);
+    prepare(exv_r_, &SegmentTables::exv_r_, kStreamExv);
+    prepare(b_r_, &SegmentTables::b_r_, kStreamB);
+    prepare(c_r_, &SegmentTables::c_r_, kStreamC);
+    prepare(d_r_, &SegmentTables::d_r_, kStreamD);
+    prepare(tl_r_, &SegmentTables::tl_r_, kStreamTl);
+    prepare(pf_r_, &SegmentTables::pf_r_, kStreamPf);
+    prepare(ef_r_, &SegmentTables::ef_r_, kStreamEf);
+    prepare(w_r_, &SegmentTables::w_r_, kStreamW);
   }
 
   // Planning-law dispatch: a Weibull law at shape exactly 1 *delegates* to
@@ -174,9 +177,9 @@ void SegmentTables::build(const chain::WeightTable& table,
 
 void SegmentTables::build_exponential(const chain::WeightTable& table,
                                       unsigned mask) {
-  const std::size_t stride = n_ + 1;
   const double lambda_f = table.lambda_f();
   for (std::size_t i = 0; i <= n_; ++i) {
+    const std::size_t row_base = util::triangle_row(i, n_);
     for (std::size_t j = i; j <= n_; ++j) {
       // Same expression trees as segment_math.cpp / WeightTable, so the
       // stored coefficients are bitwise what the scalar path computes --
@@ -190,7 +193,7 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
       const double b = es * em1_f;
       const double c = seg.em1_fs();
       const double d = em1_s;
-      const std::size_t cm = j * stride + i;
+      const std::size_t cm = util::triangle_col(j) + i;
       if (mask & kStreamExvg) exvg_c_[cm] = es * (x + vg_[j]);
       if (mask & kStreamB) b_c_[cm] = b;
       if (mask & kStreamC) c_c_[cm] = c;
@@ -198,7 +201,7 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
       if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
       if (has_rows_) {
         const double ef = seg.exp_f();
-        const std::size_t rm = i * stride + j;
+        const std::size_t rm = row_base + j;
         if (mask & kStreamExv) exv_r_[rm] = es * (x + vp_[j]);
         if (mask & kStreamB) b_r_[rm] = b;
         if (mask & kStreamC) c_r_[rm] = c;
@@ -218,9 +221,9 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
 
 void SegmentTables::build_weibull(const chain::WeightTable& table,
                                   double shape, unsigned mask) {
-  const std::size_t stride = n_ + 1;
   const WeibullLawTasks tasks(table, table.lambda_f(), shape);
   for (std::size_t i = 0; i <= n_; ++i) {
+    const std::size_t row_base = util::triangle_row(i, n_);
     // Incremental law accumulators over j, in the exact operation order of
     // make_law_interval so evaluator-side LawInterval values are bitwise
     // equal to the stored streams.
@@ -246,14 +249,14 @@ void SegmentTables::build_weibull(const chain::WeightTable& table,
       const double b = es * seg.em1_f;
       const double c = seg.em1_fs();
       const double d = seg.em1_s;
-      const std::size_t cm = j * stride + i;
+      const std::size_t cm = util::triangle_col(j) + i;
       if (mask & kStreamExvg) exvg_c_[cm] = es * (seg.x + vg_[j]);
       if (mask & kStreamB) b_c_[cm] = b;
       if (mask & kStreamC) c_c_[cm] = c;
       if (mask & kStreamD) d_c_[cm] = d;
       if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
       if (has_rows_) {
-        const std::size_t rm = i * stride + j;
+        const std::size_t rm = row_base + j;
         if (mask & kStreamExv) exv_r_[rm] = es * (seg.x + vp_[j]);
         if (mask & kStreamB) b_r_[rm] = b;
         if (mask & kStreamC) c_r_[rm] = c;
@@ -278,11 +281,11 @@ void SegmentTables::build_qi_certificate() {
   const std::size_t stride = n_ + 1;
   qi_.argmin_window_safe.assign(stride, 1);
   std::vector<std::uint8_t> cell_ok(stride, 1);
-  for (const std::vector<double>* stream : {&exvg_c_, &b_c_, &c_c_, &d_c_}) {
+  for (const util::TriangleStream* stream : {&exvg_c_, &b_c_, &c_c_, &d_c_}) {
     const double* f = stream->data();
     for (std::size_t j = 1; j <= n_; ++j) {
-      const double* col = f + j * stride;       // f(v, j), v in [0, j]
-      const double* prev = f + (j - 1) * stride;  // f(v, j-1), v in [0, j-1]
+      const double* col = f + util::triangle_col(j);  // f(v, j), v <= j
+      const double* prev = f + util::triangle_col(j - 1);  // f(v, j-1)
       for (std::size_t v = 0; v < j; ++v) {
         if (col[v] < 0.0) qi_.streams_nonnegative = false;
         if (v + 2 > j) continue;  // QI cell needs (v+1, j-1) valid
@@ -309,10 +312,9 @@ void SegmentTables::build_qi_certificate() {
 }
 
 std::size_t SegmentTables::resident_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const auto* v :
-       {&exv_r_, &b_r_, &c_r_, &d_r_, &tl_r_, &pf_r_, &ef_r_, &w_r_,
-        &exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_, &vg_, &vp_}) {
+  std::size_t total = (vg_.capacity() + vp_.capacity()) * sizeof(double);
+  for (const auto* v : {&exv_r_, &b_r_, &c_r_, &d_r_, &tl_r_, &pf_r_, &ef_r_,
+                        &w_r_, &exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_}) {
     total += v->capacity() * sizeof(double);
   }
   return total;

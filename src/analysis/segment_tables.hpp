@@ -20,15 +20,17 @@
 // The O(n^4)/O(n^6) dynamic programs used to rebuild Interval/LeftContext
 // structs and re-derive these quantities -- including an expm1 per
 // e_right_step -- inside their innermost loops; this table materializes
-// them once per (chain, cost model) pair as flat SoA arrays.  The
-// verification costs are folded into the leading term where possible
-// (exv = es*(x + V_j), exvg = es*(x + V*_j)), which drops two more streams
-// from the kernels.  Two orientations are kept:
+// them once per (chain, cost model) pair as flat SoA arrays, each a packed
+// upper triangle of (n+1)(n+2)/2 cells (util/triangle.hpp) since only
+// intervals with i <= j exist.  The verification costs are folded into the
+// leading term where possible (exv = es*(x + V_j), exvg = es*(x + V*_j)),
+// which drops two more streams from the kernels.  Two orientations are
+// kept:
 //
-//   *_row(i): fixed left endpoint i, contiguous in j -- the access pattern
-//             of the partial-verification inner DP (p2 scan);
-//   *_col(j): fixed right endpoint j, contiguous in i -- the access pattern
-//             of the level-DP v1 scans.
+//   *_row(i): fixed left endpoint i, contiguous in j in [i, n] -- the
+//             access pattern of the partial-verification inner DP (p2 scan);
+//   *_col(j): fixed right endpoint j, contiguous in i in [0, j] -- the
+//             access pattern of the level-DP v1 scans.
 //
 // Every entry is computed with the exact expression trees of
 // segment_math.cpp on the same WeightTable inputs.  The Eq. (4) level-DP
@@ -47,6 +49,7 @@
 
 #include "chain/weight_table.hpp"
 #include "platform/cost_model.hpp"
+#include "util/triangle.hpp"
 
 namespace chainckpt::analysis {
 
@@ -132,7 +135,7 @@ class SegmentTables {
   bool has_rows() const noexcept { return has_rows_; }
 
   // Row views: pointer indexed by the absolute right endpoint j, valid for
-  // j in [i, n].  Require has_rows().
+  // j in [i, n] only (cells j < i are not stored).  Require has_rows().
   const double* exv_row(std::size_t i) const noexcept {
     return row(exv_r_, i);
   }
@@ -145,14 +148,14 @@ class SegmentTables {
   const double* w_row(std::size_t i) const noexcept { return row(w_r_, i); }
 
   // Column views: pointer indexed by the absolute left endpoint i, valid
-  // for i in [0, j].
+  // for i in [0, j] only (cells i > j are not stored).
   const double* exvg_col(std::size_t j) const noexcept {
-    return row(exvg_c_, j);
+    return col(exvg_c_, j);
   }
-  const double* b_col(std::size_t j) const noexcept { return row(b_c_, j); }
-  const double* c_col(std::size_t j) const noexcept { return row(c_c_, j); }
-  const double* d_col(std::size_t j) const noexcept { return row(d_c_, j); }
-  const double* fs_col(std::size_t j) const noexcept { return row(fs_c_, j); }
+  const double* b_col(std::size_t j) const noexcept { return col(b_c_, j); }
+  const double* c_col(std::size_t j) const noexcept { return col(c_c_, j); }
+  const double* d_col(std::size_t j) const noexcept { return col(d_c_, j); }
+  const double* fs_col(std::size_t j) const noexcept { return col(fs_c_, j); }
 
   /// Guaranteed-verification cost after task i (i >= 1), hoisted out of the
   /// CostModel's uniform/per-position branch.
@@ -191,9 +194,13 @@ class SegmentTables {
     kStreamAll = (1u << 12) - 1,
   };
 
-  const double* row(const std::vector<double>& v,
+  const double* row(const util::TriangleStream& v,
                     std::size_t i) const noexcept {
-    return v.data() + i * (n_ + 1);
+    return v.data() + util::triangle_row(i, n_);
+  }
+  static const double* col(const util::TriangleStream& v,
+                           std::size_t j) noexcept {
+    return v.data() + util::triangle_col(j);
   }
 
   /// Streams the parameter drift from `base` to (table, costs) invalidates
@@ -209,12 +216,13 @@ class SegmentTables {
   double lambda_f_ = 0.0;
   double lambda_s_ = 0.0;
   platform::PlanningLaw law_{};
-  std::vector<double> exv_r_, b_r_, c_r_, d_r_, tl_r_, pf_r_, ef_r_, w_r_;
-  std::vector<double> exvg_c_, b_c_, c_c_, d_c_, fs_c_;
+  util::TriangleStream exv_r_, b_r_, c_r_, d_r_, tl_r_, pf_r_, ef_r_, w_r_;
+  util::TriangleStream exvg_c_, b_c_, c_c_, d_c_, fs_c_;
   std::vector<double> vg_, vp_;
   QiCertificate qi_;
 
-  /// Shared tail of both constructors: allocates/copies per `mask`, fills
+  /// Shared tail of both constructors: allocates (uninitialized, every
+  /// cell is then written by the fill) or copies per `mask`, fills
   /// the masked streams through the law dispatch, and (re)probes the QI
   /// certificate when a column stream changed.
   void build(const chain::WeightTable& table, const platform::CostModel& costs,

@@ -16,8 +16,8 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
   for (std::size_t i = 1; i <= n_; ++i)
     prefix_[i] = prefix_[i - 1] + chain.weight(i);
 
-  em1_f_.assign((n_ + 1) * (n_ + 1), 0.0);
-  em1_s_.assign((n_ + 1) * (n_ + 1), 0.0);
+  em1_f_.resize(util::triangle_cells(n_));
+  em1_s_.resize(util::triangle_cells(n_));
   for (std::size_t i = 0; i <= n_; ++i) {
     for (std::size_t j = i; j <= n_; ++j) {
       const double w = prefix_[j] - prefix_[i];
@@ -43,12 +43,12 @@ WeightTable::WeightTable(const WeightTable& base, double lambda_f,
   if (keep_f) {
     em1_f_ = base.em1_f_;
   } else {
-    em1_f_.assign((n_ + 1) * (n_ + 1), 0.0);
+    em1_f_.resize(util::triangle_cells(n_));
   }
   if (keep_s) {
     em1_s_ = base.em1_s_;
   } else {
-    em1_s_.assign((n_ + 1) * (n_ + 1), 0.0);
+    em1_s_.resize(util::triangle_cells(n_));
   }
   if (keep_f && keep_s) return;
   for (std::size_t i = 0; i <= n_; ++i) {

@@ -3,7 +3,8 @@
 // Every DP transition evaluates exponentials of lambda * W_{i,j} where
 // lambda * W spans 1e-6..1e2.  Computing exp() inside the O(n^4)/O(n^6)
 // loops would dominate the runtime, so this table materializes the O(n^2)
-// triangular matrices once per (chain, rates) pair.
+// triangular matrices once per (chain, rates) pair, each packed by row into
+// (n+1)(n+2)/2 cells (util/triangle.hpp).
 //
 // The stored quantity is expm1(lambda * W) rather than exp(lambda * W):
 // the closed forms of the paper multiply (e^{lambda W} - 1) by recovery
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "chain/chain.hpp"
+#include "util/triangle.hpp"
 
 namespace chainckpt::chain {
 
@@ -68,7 +70,8 @@ class WeightTable {
     return 1.0 + em1_fs(i, j);
   }
 
-  /// Bytes held by the triangular matrices (BatchSolver cache accounting).
+  /// Bytes held by the prefix sums and the two packed triangles
+  /// (BatchSolver cache accounting).
   std::size_t resident_bytes() const noexcept {
     return (prefix_.capacity() + em1_f_.capacity() + em1_s_.capacity()) *
            sizeof(double);
@@ -76,15 +79,15 @@ class WeightTable {
 
  private:
   std::size_t idx(std::size_t i, std::size_t j) const noexcept {
-    return i * (n_ + 1) + j;
+    return util::triangle_row(i, n_) + j;
   }
 
   std::size_t n_;
   double lambda_f_;
   double lambda_s_;
   std::vector<double> prefix_;
-  std::vector<double> em1_f_;
-  std::vector<double> em1_s_;
+  util::TriangleStream em1_f_;
+  util::TriangleStream em1_s_;
 };
 
 }  // namespace chainckpt::chain

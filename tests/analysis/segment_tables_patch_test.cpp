@@ -34,22 +34,46 @@ bool same_doubles(const double* a, const double* b, std::size_t count) {
   return std::memcmp(a, b, count * sizeof(double)) == 0;
 }
 
+using StreamView = const double* (SegmentTables::*)(std::size_t) const noexcept;
+
+/// Byte comparison of every stored cell of a column-packed stream:
+/// column j over i in [0, j].
+bool same_columns(const SegmentTables& a, const SegmentTables& b,
+                  StreamView view) {
+  for (std::size_t j = 0; j <= a.n(); ++j) {
+    if (!same_doubles((a.*view)(j), (b.*view)(j), j + 1)) return false;
+  }
+  return true;
+}
+
+/// Byte comparison of every stored cell of a row-packed stream: row i over
+/// j in [i, n].
+bool same_rows(const SegmentTables& a, const SegmentTables& b,
+               StreamView view) {
+  const std::size_t n = a.n();
+  for (std::size_t i = 0; i <= n; ++i) {
+    if (!same_doubles((a.*view)(i) + i, (b.*view)(i) + i, n + 1 - i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Full byte comparison of every stream the two tables expose.
 void expect_identical(const SegmentTables& patched,
                       const SegmentTables& scratch, const char* what) {
   ASSERT_EQ(patched.n(), scratch.n());
   ASSERT_EQ(patched.has_rows(), scratch.has_rows());
   const std::size_t n = patched.n();
-  const std::size_t full = (n + 1) * (n + 1);
-  EXPECT_TRUE(same_doubles(patched.exvg_col(0), scratch.exvg_col(0), full))
+  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::exvg_col))
       << what << ": exvg";
-  EXPECT_TRUE(same_doubles(patched.b_col(0), scratch.b_col(0), full))
+  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::b_col))
       << what << ": b_col";
-  EXPECT_TRUE(same_doubles(patched.c_col(0), scratch.c_col(0), full))
+  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::c_col))
       << what << ": c_col";
-  EXPECT_TRUE(same_doubles(patched.d_col(0), scratch.d_col(0), full))
+  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::d_col))
       << what << ": d_col";
-  EXPECT_TRUE(same_doubles(patched.fs_col(0), scratch.fs_col(0), full))
+  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::fs_col))
       << what << ": fs_col";
   for (std::size_t i = 1; i <= n; ++i) {
     const double pg = patched.vg_after(i), sg = scratch.vg_after(i);
@@ -58,21 +82,21 @@ void expect_identical(const SegmentTables& patched,
     EXPECT_TRUE(same_doubles(&pp, &sp, 1)) << what << ": vp[" << i << "]";
   }
   if (patched.has_rows()) {
-    EXPECT_TRUE(same_doubles(patched.exv_row(0), scratch.exv_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::exv_row))
         << what << ": exv_row";
-    EXPECT_TRUE(same_doubles(patched.b_row(0), scratch.b_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::b_row))
         << what << ": b_row";
-    EXPECT_TRUE(same_doubles(patched.c_row(0), scratch.c_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::c_row))
         << what << ": c_row";
-    EXPECT_TRUE(same_doubles(patched.d_row(0), scratch.d_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::d_row))
         << what << ": d_row";
-    EXPECT_TRUE(same_doubles(patched.tl_row(0), scratch.tl_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::tl_row))
         << what << ": tl_row";
-    EXPECT_TRUE(same_doubles(patched.pf_row(0), scratch.pf_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::pf_row))
         << what << ": pf_row";
-    EXPECT_TRUE(same_doubles(patched.ef_row(0), scratch.ef_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::ef_row))
         << what << ": ef_row";
-    EXPECT_TRUE(same_doubles(patched.w_row(0), scratch.w_row(0), full))
+    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::w_row))
         << what << ": w_row";
   }
   // The QI certificate is a pure function of the column streams.

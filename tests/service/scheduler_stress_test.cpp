@@ -27,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -436,6 +438,75 @@ TEST(SchedulerStress, EventOnlyDispatcherMissesEventFreeDeadlineRisk) {
   EXPECT_EQ(batch_state, JobState::kSucceeded);
 }
 
+/// The urgent storm submits one job every kStormPeriod, kStormJobs times.
+constexpr milliseconds kStormPeriod{10};
+constexpr int kStormJobs = 60;
+
+/// The probe's service: one worker, unlimited budget, no preemption (to
+/// isolate dispatch ordering), and no plan cache -- the storm resubmits
+/// one identical job, and with the plan cache on every repeat would
+/// exact-hit in microseconds, so the backlog the probe depends on would
+/// never form.
+ServiceOptions aging_probe_options(milliseconds aging_interval) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.admission.budget_units = 0.0;
+  options.enable_preemption = false;
+  options.aging_interval = aging_interval;
+  options.solver.enable_plan_cache = false;
+  return options;
+}
+
+core::BatchJob aging_probe_job(std::size_t n) {
+  return {core::Algorithm::kADMV, chain::make_uniform(n, 25000.0),
+          platform::CostModel{platform::hera()}};
+}
+
+/// Wall time of one storm job of size n on the probe's service: the best
+/// of three back-to-back solves, so the first solve's table build (later
+/// solves hit the table cache, as every storm job after the first does)
+/// does not inflate it.
+double solve_ms(std::size_t n) {
+  SolverService service(aging_probe_options(milliseconds(0)));
+  const core::BatchJob work = aging_probe_job(n);
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(service.wait(service.submit({work, {Priority::kUrgent}})).state,
+              JobState::kSucceeded);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    best = rep == 0 ? ms : std::min(best, ms);
+  }
+  service.shutdown();
+  return best;
+}
+
+/// Sizes the storm job from measured solve times: the smallest ADMV n
+/// (from 40 up) whose solve takes at least three storm periods.  One
+/// worker then completes at most one job per 3 periods while the storm
+/// adds one per period, so the urgent backlog grows for the whole storm
+/// and never drains before its last submission -- on any host speed.
+std::size_t storm_job_size() {
+  const double target_ms = 3.0 * static_cast<double>(kStormPeriod.count());
+  std::size_t n = 40;
+  double ms = solve_ms(n);
+  // ADMV's inner DP is O(n^6); a growth step sized by that exponent
+  // undershoots when the effective exponent is lower, so the loop
+  // re-measures until the target holds.  The cap bounds the probe's
+  // runtime on a pathologically fast host.
+  while (ms < target_ms && n < 160) {
+    const double grow = std::pow(target_ms / ms, 1.0 / 6.0);
+    n = std::max(n + 1, static_cast<std::size_t>(std::ceil(
+                            static_cast<double>(n) * grow * 1.05)));
+    ms = solve_ms(n);
+  }
+  EXPECT_GE(ms, target_ms) << "storm job n=" << n
+                           << " is too fast to keep a backlog";
+  return n;
+}
+
 /// Bounded-starvation probe: one worker, a sustained kUrgent storm, and
 /// one kBatch job submitted just after the storm's first job pinned the
 /// worker.  Returns whether the batch job STARTED before the storm's
@@ -445,20 +516,8 @@ TEST(SchedulerStress, EventOnlyDispatcherMissesEventFreeDeadlineRisk) {
 /// class reaches kUrgent after 3 intervals and FIFO-by-submit_seq within
 /// the class puts it ahead of every storm job submitted after it.
 bool run_aging_probe(milliseconds aging_interval) {
-  const platform::CostModel costs{platform::hera()};
-  const core::BatchJob work{core::Algorithm::kADMV,
-                            chain::make_uniform(40, 25000.0), costs};
-
-  ServiceOptions options;
-  options.workers = 1;
-  options.admission.budget_units = 0.0;
-  options.enable_preemption = false;  // isolate dispatch ordering
-  options.aging_interval = aging_interval;
-  // The storm resubmits one identical job; with the plan cache on,
-  // every repeat exact-hits in microseconds and the backlog the probe
-  // depends on never forms.
-  options.solver.enable_plan_cache = false;
-  SolverService service(options);
+  const core::BatchJob work = aging_probe_job(storm_job_size());
+  SolverService service(aging_probe_options(aging_interval));
 
   // Pin the worker.
   std::vector<JobHandle> urgent;
@@ -468,11 +527,12 @@ bool run_aging_probe(milliseconds aging_interval) {
   }
   JobHandle batch = service.submit({work, {Priority::kBatch}});
 
-  // The storm: a continuous urgent backlog for ~600ms of submissions
-  // (each solve is tens of ms, so the queue never empties mid-storm).
-  for (int i = 0; i < 60; ++i) {
+  // The storm: a continuous urgent backlog for kStormJobs periods of
+  // submissions (each solve outlasts three periods -- storm_job_size --
+  // so the queue never empties mid-storm).
+  for (int i = 0; i < kStormJobs; ++i) {
     urgent.push_back(service.submit({work, {Priority::kUrgent}}));
-    std::this_thread::sleep_for(milliseconds(10));
+    std::this_thread::sleep_for(kStormPeriod);
   }
 
   std::uint64_t last_storm_submit = 0;
