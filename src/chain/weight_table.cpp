@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace chainckpt::chain {
 
@@ -18,13 +19,7 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
 
   em1_f_.resize(util::triangle_cells(n_));
   em1_s_.resize(util::triangle_cells(n_));
-  for (std::size_t i = 0; i <= n_; ++i) {
-    for (std::size_t j = i; j <= n_; ++j) {
-      const double w = prefix_[j] - prefix_[i];
-      em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
-      em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
-    }
-  }
+  fill(lambda_f, lambda_s, /*fill_f=*/true, /*fill_s=*/true);
 }
 
 WeightTable::WeightTable(const WeightTable& base, double lambda_f,
@@ -51,13 +46,24 @@ WeightTable::WeightTable(const WeightTable& base, double lambda_f,
     em1_s_.resize(util::triangle_cells(n_));
   }
   if (keep_f && keep_s) return;
-  for (std::size_t i = 0; i <= n_; ++i) {
-    for (std::size_t j = i; j <= n_; ++j) {
-      const double w = prefix_[j] - prefix_[i];
-      if (!keep_f) em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
-      if (!keep_s) em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
+  fill(lambda_f, lambda_s, !keep_f, !keep_s);
+}
+
+void WeightTable::fill(double lambda_f, double lambda_s, bool fill_f,
+                       bool fill_s) {
+  // Blocks of rows on all workers; every cell has one writer and the same
+  // expression, so the tables are byte-identical at any thread count.
+  const std::size_t block = util::triangle_block(n_);
+  util::parallel_for_blocks(0, n_ + 1, block, [&](std::size_t lo,
+                                                  std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t j = i; j <= n_; ++j) {
+        const double w = prefix_[j] - prefix_[i];
+        if (fill_f) em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
+        if (fill_s) em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
+      }
     }
-  }
+  });
 }
 
 }  // namespace chainckpt::chain

@@ -81,6 +81,9 @@ class WeightTable {
   std::size_t idx(std::size_t i, std::size_t j) const noexcept {
     return util::triangle_row(i, n_) + j;
   }
+  /// Writes every cell of the em1_f (fill_f) and em1_s (fill_s)
+  /// triangles, in blocks of rows on all workers.
+  void fill(double lambda_f, double lambda_s, bool fill_f, bool fill_s);
 
   std::size_t n_;
   double lambda_f_;

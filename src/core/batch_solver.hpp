@@ -151,8 +151,9 @@ struct BatchStats {
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
   /// certificate or solver bug.  Must stay 0.
   std::size_t warm_bound_violations = 0;
-  /// Aggregated scan counters of every DP job the solver ran (always the
-  /// dense scan, so the prune/fallback counters stay zero).
+  /// Aggregated scan counters of every DP job the solver ran (the
+  /// pruned scan, DpContext's default: ADV*/ADMV* jobs add prune and
+  /// fallback counts, AD/ADMV jobs add zeros).
   ScanStats scan;
 };
 

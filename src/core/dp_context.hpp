@@ -21,8 +21,9 @@ class SolveCheckpoint;
 /// Result of any optimizer: the chosen plan and its expected makespan
 /// (the DP objective value; re-scoring the plan through the analytic
 /// evaluator reproduces it).  `scan` holds the prune/fallback counters of
-/// the inner argmin scans; it is all-zero for ScanMode::kDense solves and
-/// for the heuristic baselines.
+/// the inner argmin scans: an ADV*/ADMV* solve in the default
+/// ScanMode::kMonotonePruned fills them; kDense solves, AD, ADMV and the
+/// heuristic baselines leave them all-zero.
 struct OptimizationResult {
   plan::ResiliencePlan plan;
   double expected_makespan = 0.0;
@@ -58,11 +59,12 @@ class DpContext {
             std::size_t max_n = kDefaultMaxN);
 
   /// Selects how the DPs run their inner argmin scans (see
-  /// core/monotone_scanner.hpp).  Dense by default; set to
-  /// kMonotonePruned before handing the context to an optimizer.  It
-  /// windows the Eq. (4) v1 scans of ADV* and ADMV*; AD (a degenerate
-  /// single-cell scan) and ADMV (whose segment costs the QI certificate
-  /// does not cover) ignore the knob and always scan dense.
+  /// core/monotone_scanner.hpp).  kMonotonePruned by default: it windows
+  /// the Eq. (4) v1 scans of ADV* and ADMV* and gives the dense scan's
+  /// plans and objectives bit for bit.  kDense is the reference the tests
+  /// and benches hold it to.  AD (a degenerate single-cell scan) and ADMV
+  /// (whose segment costs the QI certificate does not cover) ignore the
+  /// knob and always scan dense.
   void set_scan_mode(ScanMode mode) noexcept { scan_mode_ = mode; }
   ScanMode scan_mode() const noexcept { return scan_mode_; }
 
@@ -134,7 +136,7 @@ class DpContext {
  private:
   chain::TaskChain chain_;
   platform::CostModel costs_;
-  ScanMode scan_mode_ = ScanMode::kDense;
+  ScanMode scan_mode_ = ScanMode::kMonotonePruned;
   const CancelToken* cancel_ = nullptr;
   double warm_upper_bound_ = 0.0;
   SolveCheckpoint* checkpoint_ = nullptr;

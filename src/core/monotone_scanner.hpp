@@ -45,9 +45,10 @@
 namespace chainckpt::core {
 
 /// How the level DPs run their inner argmin scans.  kDense is the
-/// reference formulation; kMonotonePruned is bit-compatible on every
-/// configuration covered by the QI gate + boundary guard (see above) and
-/// is validated against kDense by the oracle and property suites.
+/// reference formulation; kMonotonePruned (DpContext's default) is
+/// bit-compatible on every configuration covered by the QI gate +
+/// boundary guard (see above) and is validated against kDense by the
+/// oracle and property suites.
 enum class ScanMode { kDense, kMonotonePruned };
 
 /// Counters describing one solve's scan behaviour.  All counts are in

@@ -80,4 +80,20 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+/// Runs body(lo, hi) over [begin, end) cut into consecutive blocks of
+/// `block` > 0 indices (the last one may be shorter); the blocks are
+/// parallel_for iterations.  Loops whose per-index work is too small to
+/// hand out one index at a time use it, e.g. the O(n^2) table fills,
+/// which give each worker whole rows or columns.
+template <typename Body>
+void parallel_for_blocks(std::size_t begin, std::size_t end,
+                         std::size_t block, const Body& body) {
+  if (begin >= end) return;
+  const std::size_t blocks = (end - begin + block - 1) / block;
+  parallel_for(0, blocks, [&](std::size_t b) {
+    const std::size_t lo = begin + b * block;
+    body(lo, end - lo < block ? end : lo + block);
+  });
+}
+
 }  // namespace chainckpt::util

@@ -37,6 +37,16 @@ constexpr std::size_t triangle_row(std::size_t i, std::size_t n) noexcept {
   return i * n - i * (i - 1) / 2;
 }
 
+/// Rows (or columns) per parallel block of a triangle fill over n + 1
+/// rows: at least 8, so a block writes 64 contiguous bytes of every
+/// column it touches and only block edges can share a cache line, and
+/// at least 4096 / (n + 1), so a triangle too small to repay waking the
+/// workers (n < ~64) stays one serial block.
+constexpr std::size_t triangle_block(std::size_t n) noexcept {
+  const std::size_t rows = std::size_t{4096} / (n + 1);
+  return rows < 8 ? 8 : rows;
+}
+
 /// std::allocator whose value-less construct() default-initializes, so
 /// resize() of a vector<double> leaves the new cells unwritten.  Used for
 /// tables whose fill writes every cell: the zero-fill would be a wasted

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "analysis/segment_math.hpp"
@@ -52,13 +53,15 @@ struct Coefficients {
   double exvg, exv, b, c, d, fs, tl, pf, ef, w;
 };
 
+/// `tasks` carries the per-task Weibull quantities; null under the
+/// exponential law.
 Coefficients scalar_coefficients(const chain::WeightTable& table,
                                  const platform::CostModel& costs,
-                                 std::size_t i, std::size_t j) {
+                                 const WeibullLawTasks* tasks, std::size_t i,
+                                 std::size_t j) {
   const double vg = j == 0 ? 0.0 : costs.v_guaranteed_after(j);
   const double vp = j == 0 ? 0.0 : costs.v_partial_after(j);
-  const platform::PlanningLaw& law = costs.planning_law();
-  if (law.is_exponential()) {
+  if (tasks == nullptr) {
     const Interval seg = make_interval(table, i, j);
     const double x = em1f_over_lambda(seg, table.lambda_f());
     const double es = seg.exp_s();
@@ -74,8 +77,7 @@ Coefficients scalar_coefficients(const chain::WeightTable& table,
             ef,
             seg.w};
   }
-  const WeibullLawTasks tasks(table, table.lambda_f(), law.weibull_shape);
-  const LawInterval seg = make_law_interval(table, tasks, i, j);
+  const LawInterval seg = make_law_interval(table, *tasks, i, j);
   const double es = seg.exp_s();
   const double ef = seg.exp_f();
   return {es * (seg.x + vg),
@@ -114,8 +116,9 @@ TEST(TableLayout, ResidentBytesArePackedTriangles) {
 }
 
 TEST(TableLayout, EveryViewCellIsTheScalarValue) {
+  // n = 300 fills in several row blocks (util::triangle_block).
   for (const bool weibull : {false, true}) {
-    for (const std::size_t n : {1u, 2u, 50u}) {
+    for (const std::size_t n : {1u, 2u, 50u, 300u}) {
       const std::string what =
           std::string(weibull ? "weibull" : "exponential") +
           " n=" + std::to_string(n);
@@ -124,10 +127,16 @@ TEST(TableLayout, EveryViewCellIsTheScalarValue) {
       const chain::WeightTable table(chain, costs.lambda_f(),
                                      costs.lambda_s());
       const SegmentTables seg(table, costs, /*build_rows=*/true);
+      std::unique_ptr<const WeibullLawTasks> tasks;
+      if (weibull) {
+        tasks = std::make_unique<const WeibullLawTasks>(
+            table, table.lambda_f(), costs.planning_law().weibull_shape);
+      }
       std::size_t mismatches = 0;
       for (std::size_t j = 0; j <= n; ++j) {
         for (std::size_t i = 0; i <= j; ++i) {
-          const Coefficients want = scalar_coefficients(table, costs, i, j);
+          const Coefficients want =
+              scalar_coefficients(table, costs, tasks.get(), i, j);
           const double w = table.weight(i, j);
           const bool ok =
               same_bits(table.em1_f(i, j), std::expm1(costs.lambda_f() * w)) &&

@@ -8,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "chain/patterns.hpp"
 #include "chain/weight_table.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
+#include "table_bytes.hpp"
 
 namespace chainckpt::analysis {
 namespace {
@@ -30,80 +30,8 @@ platform::Platform scaled_hera() {
   return p;
 }
 
-bool same_doubles(const double* a, const double* b, std::size_t count) {
-  return std::memcmp(a, b, count * sizeof(double)) == 0;
-}
-
-using StreamView = const double* (SegmentTables::*)(std::size_t) const noexcept;
-
-/// Byte comparison of every stored cell of a column-packed stream:
-/// column j over i in [0, j].
-bool same_columns(const SegmentTables& a, const SegmentTables& b,
-                  StreamView view) {
-  for (std::size_t j = 0; j <= a.n(); ++j) {
-    if (!same_doubles((a.*view)(j), (b.*view)(j), j + 1)) return false;
-  }
-  return true;
-}
-
-/// Byte comparison of every stored cell of a row-packed stream: row i over
-/// j in [i, n].
-bool same_rows(const SegmentTables& a, const SegmentTables& b,
-               StreamView view) {
-  const std::size_t n = a.n();
-  for (std::size_t i = 0; i <= n; ++i) {
-    if (!same_doubles((a.*view)(i) + i, (b.*view)(i) + i, n + 1 - i)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Full byte comparison of every stream the two tables expose.
-void expect_identical(const SegmentTables& patched,
-                      const SegmentTables& scratch, const char* what) {
-  ASSERT_EQ(patched.n(), scratch.n());
-  ASSERT_EQ(patched.has_rows(), scratch.has_rows());
-  const std::size_t n = patched.n();
-  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::exvg_col))
-      << what << ": exvg";
-  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::b_col))
-      << what << ": b_col";
-  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::c_col))
-      << what << ": c_col";
-  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::d_col))
-      << what << ": d_col";
-  EXPECT_TRUE(same_columns(patched, scratch, &SegmentTables::fs_col))
-      << what << ": fs_col";
-  for (std::size_t i = 1; i <= n; ++i) {
-    const double pg = patched.vg_after(i), sg = scratch.vg_after(i);
-    const double pp = patched.vp_after(i), sp = scratch.vp_after(i);
-    EXPECT_TRUE(same_doubles(&pg, &sg, 1)) << what << ": vg[" << i << "]";
-    EXPECT_TRUE(same_doubles(&pp, &sp, 1)) << what << ": vp[" << i << "]";
-  }
-  if (patched.has_rows()) {
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::exv_row))
-        << what << ": exv_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::b_row))
-        << what << ": b_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::c_row))
-        << what << ": c_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::d_row))
-        << what << ": d_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::tl_row))
-        << what << ": tl_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::pf_row))
-        << what << ": pf_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::ef_row))
-        << what << ": ef_row";
-    EXPECT_TRUE(same_rows(patched, scratch, &SegmentTables::w_row))
-        << what << ": w_row";
-  }
-  // The QI certificate is a pure function of the column streams.
-  EXPECT_EQ(patched.verify_quadrangle().violating_cells,
-            scratch.verify_quadrangle().violating_cells)
-      << what;
-}
+using table_bytes::expect_same_segment_tables;
+using table_bytes::expect_same_weight_tables;
 
 /// Builds base tables for `base_p`, patches them to `next`, and checks
 /// the patch against a from-scratch build of `next`.
@@ -126,17 +54,8 @@ PatchSummary patch_and_check(const platform::CostModel& base_costs,
   const SegmentTables scratch(scratch_table, next_costs, rows);
 
   // The patched WeightTable itself must be bitwise equal to scratch.
-  for (std::size_t i = 0; i <= kN; ++i) {
-    for (std::size_t j = i; j <= kN; ++j) {
-      const double pf = patched_table.em1_f(i, j);
-      const double sf = scratch_table.em1_f(i, j);
-      const double ps = patched_table.em1_s(i, j);
-      const double ss = scratch_table.em1_s(i, j);
-      EXPECT_TRUE(same_doubles(&pf, &sf, 1)) << what << " em1_f " << i << j;
-      EXPECT_TRUE(same_doubles(&ps, &ss, 1)) << what << " em1_s " << i << j;
-    }
-  }
-  expect_identical(patched, scratch, what);
+  expect_same_weight_tables(patched_table, scratch_table, what);
+  expect_same_segment_tables(patched, scratch, what);
   return summary;
 }
 
@@ -254,7 +173,7 @@ TEST(SegmentTablesPatch, RowUpgradeFromARowlessDonor) {
                                &summary);
   ASSERT_TRUE(upgraded.has_rows());
   const SegmentTables scratch(table, costs, /*build_rows=*/true);
-  expect_identical(upgraded, scratch, "row upgrade");
+  expect_same_segment_tables(upgraded, scratch, "row upgrade");
   EXPECT_GT(summary.streams_rebuilt, 0u);
 }
 

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "analysis/evaluator.hpp"
@@ -33,6 +32,7 @@
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/math.hpp"
+#include "table_bytes.hpp"
 #include "util/rng.hpp"
 
 namespace chainckpt::analysis {
@@ -196,20 +196,7 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
   const chain::WeightTable table(c, p.lambda_f, p.lambda_s);
   const SegmentTables a(table, exp_costs, /*build_rows=*/true);
   const SegmentTables b(table, weib_costs, /*build_rows=*/true);
-  const std::size_t row_bytes = (c.size() + 1) * sizeof(double);
-  for (std::size_t j = 0; j <= c.size(); ++j) {
-    EXPECT_EQ(std::memcmp(a.exvg_col(j), b.exvg_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.b_col(j), b.b_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.c_col(j), b.c_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.d_col(j), b.d_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.fs_col(j), b.fs_col(j), row_bytes), 0);
-  }
-  for (std::size_t i = 0; i <= c.size(); ++i) {
-    EXPECT_EQ(std::memcmp(a.exv_row(i), b.exv_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.tl_row(i), b.tl_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.pf_row(i), b.pf_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.ef_row(i), b.ef_row(i), row_bytes), 0);
-  }
+  table_bytes::expect_same_segment_tables(a, b, "Weibull shape 1");
 }
 
 TEST(WeibullLaw, ShapeOneDpResultsAreBitIdenticalToExponential) {

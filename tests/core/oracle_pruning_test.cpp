@@ -36,6 +36,7 @@ ModePair solve_both(Algorithm algorithm, const chain::TaskChain& chain,
                     const std::string& label) {
   const bool rows = algorithm == Algorithm::kADMV;
   DpContext dense_ctx(chain, costs, DpContext::kDefaultMaxN, rows);
+  dense_ctx.set_scan_mode(ScanMode::kDense);
   DpContext pruned_ctx(chain, costs, DpContext::kDefaultMaxN, rows);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
   ModePair pair{optimize(algorithm, dense_ctx),

@@ -154,6 +154,7 @@ ScanStats check_pruned_case(const PrunedCase& c,
   auto seg =
       std::make_shared<const analysis::SegmentTables>(*table, costs, rows);
   DpContext dense_ctx(chain, costs, table, seg);
+  dense_ctx.set_scan_mode(ScanMode::kDense);
   DpContext pruned_ctx(chain, costs, table, seg);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
   const auto dense = optimize(c.algorithm, dense_ctx);
@@ -233,6 +234,7 @@ TEST(PrunedEquivalence, QuadrangleViolationEngagesFallbackAndStaysExact) {
   // ADMV windows nothing, so it has no rows to gate (see
   // AdmvIgnoresTheScanModeFreshAndResumed).
   DpContext dense_ctx(chain, costs);
+  dense_ctx.set_scan_mode(ScanMode::kDense);
   for (const Algorithm algorithm :
        {Algorithm::kADVstar, Algorithm::kADMVstar}) {
     const auto dense = optimize(algorithm, dense_ctx);
@@ -268,7 +270,8 @@ TEST(PrunedEquivalence, AdmvIgnoresTheScanModeFreshAndResumed) {
     const platform::CostModel costs(platform);
     const auto chain = chain::make_random(n, 25000.0 * n, rng);
     const std::string label = platform.describe();
-    const DpContext dense_ctx(chain, costs);
+    DpContext dense_ctx(chain, costs);
+    dense_ctx.set_scan_mode(ScanMode::kDense);
     const auto dense = optimize(Algorithm::kADMV, dense_ctx);
     DpContext pruned_ctx(chain, costs);
     pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);

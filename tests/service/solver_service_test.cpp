@@ -356,8 +356,11 @@ TEST(SolverService, PriorityOrderingDispatchesHigherClassFirst) {
 
 TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
   const platform::CostModel costs{platform::hera()};
+  // n = 350: at 250 the pruned default scan (ADMV*'s shipped mode) left
+  // so little work past the halfway point that under a loaded host the
+  // victim could finish before the urgent submit landed.
   const core::BatchJob victim_work{core::Algorithm::kADMVstar,
-                                   chain::make_uniform(250, 25000.0), costs};
+                                   chain::make_uniform(350, 25000.0), costs};
   // Measure an identical solve first, run the way the service runs the
   // victim: a workers = 1 pool is a count-1 parallel_for, which runs its
   // body outside any parallel region, so the victim's slab wave fans out

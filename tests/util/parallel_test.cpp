@@ -34,6 +34,26 @@ TEST(ParallelFor, NonZeroBegin) {
   EXPECT_EQ(sum.load(), 145);  // 10 + 11 + ... + 19
 }
 
+TEST(ParallelForBlocks, CoversTheRangeInWholeBlocks) {
+  // [3, 40) in blocks of 8: [3,11) [11,19) [19,27) [27,35) [35,40).
+  std::vector<std::atomic<int>> visits(40);
+  std::vector<std::atomic<std::size_t>> block_hi(40);
+  parallel_for_blocks(3, 40, 8, [&](std::size_t lo, std::size_t hi) {
+    EXPECT_EQ((lo - 3) % 8, 0u);
+    EXPECT_EQ(hi, lo + 8 < 40 ? lo + 8 : 40);
+    block_hi[lo].store(hi);
+    for (std::size_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(visits[i].load(), i < 3 ? 0 : 1);
+  }
+  EXPECT_EQ(block_hi[35].load(), 40u);
+  bool called = false;
+  parallel_for_blocks(9, 9, 8,
+                      [&](std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
 TEST(ParallelFor, PropagatesExceptions) {
   EXPECT_THROW(
       parallel_for(0, 100,
