@@ -2,154 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "analysis/segment_math.hpp"
-#include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace chainckpt::analysis {
 
-namespace {
-
-bool bits_differ(double a, double b) noexcept {
-  return std::memcmp(&a, &b, sizeof(double)) != 0;
-}
-
-}  // namespace
-
 SegmentTables::SegmentTables(const chain::WeightTable& table,
                              const platform::CostModel& costs,
                              bool build_rows)
-    : n_(table.n()),
-      has_rows_(build_rows),
-      lambda_f_(table.lambda_f()),
-      lambda_s_(table.lambda_s()),
-      law_(costs.planning_law()) {
-  build(table, costs, kStreamAll, nullptr);
-}
-
-SegmentTables::SegmentTables(const SegmentTables& base,
-                             const chain::WeightTable& table,
-                             const platform::CostModel& costs, bool build_rows,
-                             PatchSummary* summary)
-    : n_(table.n()),
-      has_rows_(build_rows),
-      lambda_f_(table.lambda_f()),
-      lambda_s_(table.lambda_s()),
-      law_(costs.planning_law()) {
-  CHAINCKPT_REQUIRE(base.n_ == n_,
-                    "segment-table patch donor has a different chain length");
-  unsigned mask = stream_mask_for(base, table, costs);
-  if (build_rows && !base.has_rows_) {
-    // The donor never built the row arrays; everything row-oriented must
-    // be filled from scratch (the b/c/d bits cover the row mirrors too).
-    mask |= kStreamB | kStreamC | kStreamD | kStreamExv | kStreamTl |
-            kStreamPf | kStreamEf | kStreamW;
+    : n_(table.n()), has_rows_(build_rows) {
+  vg_.assign(n_ + 1, 0.0);
+  vp_.assign(n_ + 1, 0.0);
+  for (std::size_t i = 1; i <= n_; ++i) {
+    vg_[i] = costs.v_guaranteed_after(i);
+    vp_[i] = costs.v_partial_after(i);
   }
-  build(table, costs, mask, &base);
-  if (summary != nullptr) {
-    const auto arrays_for = [this](unsigned m) {
-      std::size_t count = 0;
-      for (const unsigned col_bit :
-           {kStreamExvg, kStreamFs, kStreamVg, kStreamVp}) {
-        if (m & col_bit) ++count;
-      }
-      for (const unsigned shared_bit : {kStreamB, kStreamC, kStreamD}) {
-        if (m & shared_bit) count += has_rows_ ? 2 : 1;
-      }
-      if (has_rows_) {
-        for (const unsigned row_bit :
-             {kStreamExv, kStreamTl, kStreamPf, kStreamEf, kStreamW}) {
-          if (m & row_bit) ++count;
-        }
-      }
-      return count;
-    };
-    summary->streams_rebuilt = arrays_for(mask);
-    summary->streams_reused = arrays_for(kStreamAll) - summary->streams_rebuilt;
-    summary->qi_rebuilt =
-        (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) != 0;
+  // Uninitialized: the fill below writes every cell of every stream.
+  const std::size_t cells = util::triangle_cells(n_);
+  for (util::TriangleStream* v : {&exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_}) {
+    v->resize(cells);
   }
-}
-
-unsigned SegmentTables::stream_mask_for(const SegmentTables& base,
-                                        const chain::WeightTable& table,
-                                        const platform::CostModel& costs) {
-  const bool lf_changed = bits_differ(table.lambda_f(), base.lambda_f_);
-  const bool ls_changed = bits_differ(table.lambda_s(), base.lambda_s_);
-  const platform::PlanningLaw& law = costs.planning_law();
-  // Laws compare by the build path they select: every exponential-reducing
-  // law (including Weibull at shape exactly 1) is one equivalence class.
-  bool law_changed = law.is_exponential() != base.law_.is_exponential();
-  if (!law_changed && !law.is_exponential()) {
-    law_changed = bits_differ(law.weibull_shape, base.law_.weibull_shape);
-  }
-  bool vg_changed = false;
-  bool vp_changed = false;
-  for (std::size_t i = 1; i <= base.n_; ++i) {
-    vg_changed |= bits_differ(costs.v_guaranteed_after(i), base.vg_[i]);
-    vp_changed |= bits_differ(costs.v_partial_after(i), base.vp_[i]);
-  }
-  unsigned mask = 0;
-  if (lf_changed || law_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamFs | kStreamExv |
-            kStreamTl | kStreamPf | kStreamEf;
-  }
-  if (ls_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs |
-            kStreamExv;
-  }
-  if (vg_changed) mask |= kStreamExvg | kStreamVg;
-  if (vp_changed) mask |= kStreamExv | kStreamVp;
-  return mask;
-}
-
-void SegmentTables::build(const chain::WeightTable& table,
-                          const platform::CostModel& costs, unsigned mask,
-                          const SegmentTables* base) {
-  // Allocate the streams the mask rebuilds -- uninitialized, since the fill
-  // below writes every cell of a rebuilt triangle -- and copy the rest from
-  // the donor byte for byte.  A null donor (the full build) must carry a
-  // full mask.
-  const auto prepare = [&](util::TriangleStream& mine,
-                           const util::TriangleStream SegmentTables::*member,
-                           unsigned bit) {
-    if (mask & bit) {
-      mine.resize(util::triangle_cells(n_));
-    } else {
-      mine = base->*member;
-    }
-  };
-  if (mask & kStreamVg) {
-    vg_.assign(n_ + 1, 0.0);
-    for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
-  } else {
-    vg_ = base->vg_;
-  }
-  if (mask & kStreamVp) {
-    vp_.assign(n_ + 1, 0.0);
-    for (std::size_t i = 1; i <= n_; ++i) vp_[i] = costs.v_partial_after(i);
-  } else {
-    vp_ = base->vp_;
-  }
-
-  prepare(exvg_c_, &SegmentTables::exvg_c_, kStreamExvg);
-  prepare(b_c_, &SegmentTables::b_c_, kStreamB);
-  prepare(c_c_, &SegmentTables::c_c_, kStreamC);
-  prepare(d_c_, &SegmentTables::d_c_, kStreamD);
-  prepare(fs_c_, &SegmentTables::fs_c_, kStreamFs);
   if (has_rows_) {
-    prepare(exv_r_, &SegmentTables::exv_r_, kStreamExv);
-    prepare(b_r_, &SegmentTables::b_r_, kStreamB);
-    prepare(c_r_, &SegmentTables::c_r_, kStreamC);
-    prepare(d_r_, &SegmentTables::d_r_, kStreamD);
-    prepare(tl_r_, &SegmentTables::tl_r_, kStreamTl);
-    prepare(pf_r_, &SegmentTables::pf_r_, kStreamPf);
-    prepare(ef_r_, &SegmentTables::ef_r_, kStreamEf);
-    prepare(w_r_, &SegmentTables::w_r_, kStreamW);
+    for (util::TriangleStream* v :
+         {&exv_r_, &b_r_, &c_r_, &d_r_, &tl_r_, &pf_r_, &ef_r_, &w_r_}) {
+      v->resize(cells);
+    }
   }
 
   // Planning-law dispatch: a Weibull law at shape exactly 1 *delegates* to
@@ -157,28 +37,16 @@ void SegmentTables::build(const chain::WeightTable& table,
   // Weibull formulas are only equal up to association order: they sum
   // per-task hazards where the exponential path multiplies lambda_f by a
   // prefix-difference weight).
-  const unsigned col_mask = kStreamExvg | kStreamB | kStreamC | kStreamD |
-                            kStreamFs;
-  const unsigned row_mask = kStreamExv | kStreamB | kStreamC | kStreamD |
-                            kStreamTl | kStreamPf | kStreamEf | kStreamW;
-  const bool need_fill =
-      (mask & col_mask) != 0 || (has_rows_ && (mask & row_mask) != 0);
-  if (need_fill) {
-    if (law_.is_exponential()) {
-      build_exponential(table, mask);
-    } else {
-      build_weibull(table, law_.weibull_shape, mask);
-    }
-  }
-  if (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) {
-    build_qi_certificate();
+  const platform::PlanningLaw& law = costs.planning_law();
+  if (law.is_exponential()) {
+    build_exponential(table);
   } else {
-    qi_ = base->qi_;
+    build_weibull(table, law.weibull_shape);
   }
+  build_qi_certificate();
 }
 
-void SegmentTables::build_exponential(const chain::WeightTable& table,
-                                      unsigned mask) {
+void SegmentTables::build_exponential(const chain::WeightTable& table) {
   const double lambda_f = table.lambda_f();
   // Blocks of rows on all workers: every cell has exactly one writer and
   // keeps its expression, so the streams are byte-identical at any thread
@@ -190,8 +58,7 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
       const std::size_t row_base = util::triangle_row(i, n_);
       for (std::size_t j = i; j <= n_; ++j) {
         // Same expression trees as segment_math.cpp / WeightTable, so the
-        // stored coefficients are bitwise what the scalar path computes --
-        // for full builds and masked patch rebuilds alike.
+        // stored coefficients are bitwise what the scalar path computes.
         const double em1_f = table.em1_f(i, j);
         const double em1_s = table.em1_s(i, j);
         const double w = table.weight(i, j);
@@ -202,26 +69,23 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
         const double c = seg.em1_fs();
         const double d = em1_s;
         const std::size_t cm = util::triangle_col(j) + i;
-        if (mask & kStreamExvg) exvg_c_[cm] = es * (x + vg_[j]);
-        if (mask & kStreamB) b_c_[cm] = b;
-        if (mask & kStreamC) c_c_[cm] = c;
-        if (mask & kStreamD) d_c_[cm] = d;
-        if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
+        exvg_c_[cm] = es * (x + vg_[j]);
+        b_c_[cm] = b;
+        c_c_[cm] = c;
+        d_c_[cm] = d;
+        fs_c_[cm] = seg.exp_fs();
         if (has_rows_) {
           const double ef = seg.exp_f();
           const std::size_t rm = row_base + j;
-          if (mask & kStreamExv) exv_r_[rm] = es * (x + vp_[j]);
-          if (mask & kStreamB) b_r_[rm] = b;
-          if (mask & kStreamC) c_r_[rm] = c;
-          if (mask & kStreamD) d_r_[rm] = d;
-          // expected_time_lost dominates the row-build cost; a patch that
-          // keeps lambda_f skips it entirely.
-          if (mask & kStreamTl) {
-            tl_r_[rm] = util::expected_time_lost(lambda_f, w);
-          }
-          if (mask & kStreamPf) pf_r_[rm] = em1_f / ef;
-          if (mask & kStreamEf) ef_r_[rm] = ef;
-          if (mask & kStreamW) w_r_[rm] = w;
+          exv_r_[rm] = es * (x + vp_[j]);
+          b_r_[rm] = b;
+          c_r_[rm] = c;
+          d_r_[rm] = d;
+          // expected_time_lost dominates the row-build cost.
+          tl_r_[rm] = util::expected_time_lost(lambda_f, w);
+          pf_r_[rm] = em1_f / ef;
+          ef_r_[rm] = ef;
+          w_r_[rm] = w;
         }
       }
     }
@@ -229,7 +93,7 @@ void SegmentTables::build_exponential(const chain::WeightTable& table,
 }
 
 void SegmentTables::build_weibull(const chain::WeightTable& table,
-                                  double shape, unsigned mask) {
+                                  double shape) {
   const WeibullLawTasks tasks(table, table.lambda_f(), shape);
   // Blocks of rows on all workers, as in build_exponential; each row keeps
   // its serial j-accumulators.
@@ -264,21 +128,21 @@ void SegmentTables::build_weibull(const chain::WeightTable& table,
         const double c = seg.em1_fs();
         const double d = seg.em1_s;
         const std::size_t cm = util::triangle_col(j) + i;
-        if (mask & kStreamExvg) exvg_c_[cm] = es * (seg.x + vg_[j]);
-        if (mask & kStreamB) b_c_[cm] = b;
-        if (mask & kStreamC) c_c_[cm] = c;
-        if (mask & kStreamD) d_c_[cm] = d;
-        if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
+        exvg_c_[cm] = es * (seg.x + vg_[j]);
+        b_c_[cm] = b;
+        c_c_[cm] = c;
+        d_c_[cm] = d;
+        fs_c_[cm] = seg.exp_fs();
         if (has_rows_) {
           const std::size_t rm = row_base + j;
-          if (mask & kStreamExv) exv_r_[rm] = es * (seg.x + vp_[j]);
-          if (mask & kStreamB) b_r_[rm] = b;
-          if (mask & kStreamC) c_r_[rm] = c;
-          if (mask & kStreamD) d_r_[rm] = d;
-          if (mask & kStreamTl) tl_r_[rm] = seg.t_lost;
-          if (mask & kStreamPf) pf_r_[rm] = pf;
-          if (mask & kStreamEf) ef_r_[rm] = ef;
-          if (mask & kStreamW) w_r_[rm] = seg.w;
+          exv_r_[rm] = es * (seg.x + vp_[j]);
+          b_r_[rm] = b;
+          c_r_[rm] = c;
+          d_r_[rm] = d;
+          tl_r_[rm] = seg.t_lost;
+          pf_r_[rm] = pf;
+          ef_r_[rm] = ef;
+          w_r_[rm] = seg.w;
         }
       }
     }

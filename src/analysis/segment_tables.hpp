@@ -91,45 +91,15 @@ struct QiCertificate {
   }
 };
 
-/// What a patch rebuild actually did: how many coefficient streams were
-/// recomputed vs copied from the donor tables.  BatchSolver folds these
-/// into its stats; the equivalence tests assert the reuse is real.
-struct PatchSummary {
-  std::size_t streams_rebuilt = 0;
-  std::size_t streams_reused = 0;
-  /// The QI certificate had to be re-probed (any column stream changed).
-  bool qi_rebuilt = false;
-};
-
 class SegmentTables {
  public:
+  /// Writes every cell of every stream -- the one build path.
   /// `build_rows = false` skips the nine row-oriented arrays, which only
   /// the ADMV partial solver reads -- the Eq. (4) level DPs (AD, ADV*,
   /// ADMV*) consume the column views alone and need not pay the extra
   /// O(n^2) memory and expected_time_lost build work.
   SegmentTables(const chain::WeightTable& table,
                 const platform::CostModel& costs, bool build_rows = true);
-
-  /// Incremental patch constructor: rebuilds only the streams the drifted
-  /// cost model actually changes, copying every other stream from `base`.
-  /// The dependency map (see stream_mask_for in segment_tables.cpp):
-  ///
-  ///   lambda_f / planning law -> exvg, b, c, fs, exv, tl, pf, ef
-  ///   lambda_s                -> exvg, b, c, d, fs, exv
-  ///   V* stream (vg)          -> exvg, vg
-  ///   V  stream (vp)          -> exv, vp
-  ///   C_D/C_M/R_D/R_M, recall -> nothing (never baked into the tables)
-  ///
-  /// `table` must be built from the same chain weights as `base` (only
-  /// the rates may differ -- use the WeightTable patch constructor), and
-  /// rebuilt streams use the exact expression trees of the full build, so
-  /// the result is byte-identical (memcmp) to a from-scratch
-  /// SegmentTables(table, costs, build_rows) -- the equivalence battery in
-  /// tests/analysis/segment_tables_patch_test.cpp pins this for both the
-  /// exponential and the Weibull build paths.
-  SegmentTables(const SegmentTables& base, const chain::WeightTable& table,
-                const platform::CostModel& costs, bool build_rows = true,
-                PatchSummary* summary = nullptr);
 
   std::size_t n() const noexcept { return n_; }
   bool has_rows() const noexcept { return has_rows_; }
@@ -175,25 +145,6 @@ class SegmentTables {
   const QiCertificate& verify_quadrangle() const noexcept { return qi_; }
 
  private:
-  /// One bit per coefficient stream, naming what a (re)build writes.  The
-  /// kB/kC/kD bits cover the column stream and its row mirror together
-  /// (their values are identical by construction).
-  enum StreamBit : unsigned {
-    kStreamExvg = 1u << 0,  ///< exvg_c (lambda_f, lambda_s, law, vg)
-    kStreamB = 1u << 1,     ///< b_c + b_r (lambda_f, lambda_s, law)
-    kStreamC = 1u << 2,     ///< c_c + c_r (lambda_f, lambda_s, law)
-    kStreamD = 1u << 3,     ///< d_c + d_r (lambda_s)
-    kStreamFs = 1u << 4,    ///< fs_c (lambda_f, lambda_s, law)
-    kStreamExv = 1u << 5,   ///< exv_r (lambda_f, lambda_s, law, vp)
-    kStreamTl = 1u << 6,    ///< tl_r (lambda_f, law)
-    kStreamPf = 1u << 7,    ///< pf_r (lambda_f, law)
-    kStreamEf = 1u << 8,    ///< ef_r (lambda_f, law)
-    kStreamW = 1u << 9,     ///< w_r (weights only)
-    kStreamVg = 1u << 10,   ///< vg_ (vg stream)
-    kStreamVp = 1u << 11,   ///< vp_ (vp stream)
-    kStreamAll = (1u << 12) - 1,
-  };
-
   const double* row(const util::TriangleStream& v,
                     std::size_t i) const noexcept {
     return v.data() + util::triangle_row(i, n_);
@@ -203,39 +154,21 @@ class SegmentTables {
     return v.data() + util::triangle_col(j);
   }
 
-  /// Streams the parameter drift from `base` to (table, costs) invalidates
-  /// (see the patch-constructor dependency map in the class comment).
-  static unsigned stream_mask_for(const SegmentTables& base,
-                                  const chain::WeightTable& table,
-                                  const platform::CostModel& costs);
-
   std::size_t n_;
   bool has_rows_ = false;
-  /// What the streams were built from, for the patch constructor's diff:
-  /// the rates of the WeightTable and the planning law of the cost model.
-  double lambda_f_ = 0.0;
-  double lambda_s_ = 0.0;
-  platform::PlanningLaw law_{};
   util::TriangleStream exv_r_, b_r_, c_r_, d_r_, tl_r_, pf_r_, ef_r_, w_r_;
   util::TriangleStream exvg_c_, b_c_, c_c_, d_c_, fs_c_;
   std::vector<double> vg_, vp_;
   QiCertificate qi_;
 
-  /// Shared tail of both constructors: allocates (uninitialized, every
-  /// cell is then written by the fill) or copies per `mask`, fills
-  /// the masked streams through the law dispatch, and (re)probes the QI
-  /// certificate when a column stream changed.
-  void build(const chain::WeightTable& table, const platform::CostModel& costs,
-             unsigned mask, const SegmentTables* base);
   /// Paper Eq. (4) coefficient fill (the default; also taken verbatim by a
   /// Weibull planning law at shape exactly 1, which makes the k = 1
-  /// reduction bitwise).  Only the streams in `mask` are written.
-  void build_exponential(const chain::WeightTable& table, unsigned mask);
+  /// reduction bitwise).
+  void build_exponential(const chain::WeightTable& table);
   /// Law-integrated fill (platform::FailureLaw::kWeibull): same streams,
   /// with em1_f/x/tl/pf/ef/fs replaced by their renewal-law integrals --
   /// see the LawInterval block of segment_math.hpp.
-  void build_weibull(const chain::WeightTable& table, double shape,
-                     unsigned mask);
+  void build_weibull(const chain::WeightTable& table, double shape);
   void build_qi_certificate();
 };
 

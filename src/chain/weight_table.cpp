@@ -1,7 +1,6 @@
 #include "chain/weight_table.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -19,38 +18,6 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
 
   em1_f_.resize(util::triangle_cells(n_));
   em1_s_.resize(util::triangle_cells(n_));
-  fill(lambda_f, lambda_s, /*fill_f=*/true, /*fill_s=*/true);
-}
-
-WeightTable::WeightTable(const WeightTable& base, double lambda_f,
-                         double lambda_s)
-    : n_(base.n_),
-      lambda_f_(lambda_f),
-      lambda_s_(lambda_s),
-      prefix_(base.prefix_) {
-  CHAINCKPT_REQUIRE(lambda_f >= 0.0 && lambda_s >= 0.0,
-                    "error rates must be non-negative");
-  const auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  const bool keep_f = same_bits(lambda_f, base.lambda_f_);
-  const bool keep_s = same_bits(lambda_s, base.lambda_s_);
-  if (keep_f) {
-    em1_f_ = base.em1_f_;
-  } else {
-    em1_f_.resize(util::triangle_cells(n_));
-  }
-  if (keep_s) {
-    em1_s_ = base.em1_s_;
-  } else {
-    em1_s_.resize(util::triangle_cells(n_));
-  }
-  if (keep_f && keep_s) return;
-  fill(lambda_f, lambda_s, !keep_f, !keep_s);
-}
-
-void WeightTable::fill(double lambda_f, double lambda_s, bool fill_f,
-                       bool fill_s) {
   // Blocks of rows on all workers; every cell has one writer and the same
   // expression, so the tables are byte-identical at any thread count.
   const std::size_t block = util::triangle_block(n_);
@@ -59,8 +26,8 @@ void WeightTable::fill(double lambda_f, double lambda_s, bool fill_f,
     for (std::size_t i = lo; i < hi; ++i) {
       for (std::size_t j = i; j <= n_; ++j) {
         const double w = prefix_[j] - prefix_[i];
-        if (fill_f) em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
-        if (fill_s) em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
+        em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
+        em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
       }
     }
   });

@@ -4,7 +4,8 @@
 // lambda * W spans 1e-6..1e2.  Computing exp() inside the O(n^4)/O(n^6)
 // loops would dominate the runtime, so this table materializes the O(n^2)
 // triangular matrices once per (chain, rates) pair, each packed by row into
-// (n+1)(n+2)/2 cells (util/triangle.hpp).
+// (n+1)(n+2)/2 cells (util/triangle.hpp).  The constructor is the one
+// build path: it writes every cell.
 //
 // The stored quantity is expm1(lambda * W) rather than exp(lambda * W):
 // the closed forms of the paper multiply (e^{lambda W} - 1) by recovery
@@ -23,16 +24,6 @@ namespace chainckpt::chain {
 class WeightTable {
  public:
   WeightTable(const TaskChain& chain, double lambda_f, double lambda_s);
-
-  /// Patch constructor: rebuilds only the streams the new rates actually
-  /// change, copying the rest from `base`.  The prefix sums depend on the
-  /// weights alone and are always reused; each em1 matrix is recomputed
-  /// with the exact expression tree of the full build only when its rate's
-  /// bit pattern differs, so the result is byte-identical to
-  /// WeightTable(chain, lambda_f, lambda_s) for the same chain
-  /// (tests/analysis/segment_tables_patch_test.cpp memcmp-pins this).
-  /// The caller asserts the chain is unchanged; only the rates may drift.
-  WeightTable(const WeightTable& base, double lambda_f, double lambda_s);
 
   std::size_t n() const noexcept { return n_; }
   double lambda_f() const noexcept { return lambda_f_; }
@@ -81,9 +72,6 @@ class WeightTable {
   std::size_t idx(std::size_t i, std::size_t j) const noexcept {
     return util::triangle_row(i, n_) + j;
   }
-  /// Writes every cell of the em1_f (fill_f) and em1_s (fill_s)
-  /// triangles, in blocks of rows on all workers.
-  void fill(double lambda_f, double lambda_s, bool fill_f, bool fill_s);
 
   std::size_t n_;
   double lambda_f_;

@@ -132,52 +132,19 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       entry.building = true;
       // A rowless entry being row-upgraded keeps its WeightTable: the
       // table depends only on key material, so rebuilding it would be
-      // pure duplicate work (the SegmentTables must rebuild -- rows are
-      // a construction-time property).
+      // pure duplicate work.  The SegmentTables rebuild from scratch with
+      // rows -- rows are a construction-time property.
       std::shared_ptr<const chain::WeightTable> built_table = entry.table;
-      // Incremental path: find a donor whose streams this build can
-      // patch instead of recomputing.  A row upgrade's own rowless entry
-      // is the ideal donor (mask = the row streams); otherwise any ready
-      // entry over the same chain weights donates whatever the parameter
-      // drift left untouched.  The patch constructors reproduce a
-      // from-scratch build byte for byte, so the determinism contract is
-      // unaffected.
-      std::shared_ptr<const analysis::SegmentTables> donor_seg = entry.seg;
-      std::shared_ptr<const chain::WeightTable> donor_table;
-      if (donor_seg == nullptr) {
-        for (const auto& [other_key, other] : cache_) {
-          if (other.building || other.seg == nullptr ||
-              !same_chain_weights(other_key, key)) {
-            continue;
-          }
-          donor_table = other.table;
-          donor_seg = other.seg;
-          break;
-        }
-      }
+      const bool upgrade = built_table != nullptr;
       lock.unlock();
       std::shared_ptr<const analysis::SegmentTables> built_seg;
-      bool patched = false;
-      analysis::PatchSummary patch_summary;
       try {
         if (built_table == nullptr) {
-          built_table =
-              donor_table != nullptr
-                  ? std::make_shared<const chain::WeightTable>(
-                        *donor_table, job.costs.lambda_f(),
-                        job.costs.lambda_s())
-                  : std::make_shared<const chain::WeightTable>(
-                        job.chain, job.costs.lambda_f(),
-                        job.costs.lambda_s());
+          built_table = std::make_shared<const chain::WeightTable>(
+              job.chain, job.costs.lambda_f(), job.costs.lambda_s());
         }
-        if (donor_seg != nullptr) {
-          built_seg = std::make_shared<const analysis::SegmentTables>(
-              *donor_seg, *built_table, job.costs, rows, &patch_summary);
-          patched = true;
-        } else {
-          built_seg = std::make_shared<const analysis::SegmentTables>(
-              *built_table, job.costs, rows);
-        }
+        built_seg = std::make_shared<const analysis::SegmentTables>(
+            *built_table, job.costs, rows);
       } catch (...) {
         lock.lock();
         const auto it = cache_.find(key);
@@ -201,10 +168,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       built.building = false;
       built.last_used = ++use_tick_;
       ++stats_.tables_built;
-      if (patched) {
-        ++stats_.tables_patched;
-        stats_.patched_streams_reused += patch_summary.streams_reused;
-      }
+      if (upgrade) ++stats_.tables_patched;
       build_done_.notify_all();
       table = built.table;
       seg = built.seg;
@@ -219,7 +183,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   SolveKey ckpt_key;
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
-  if (options_.keep_checkpoints && is_checkpointable(job.algorithm)) {
+  if (is_checkpointable(job.algorithm)) {
     ckpt_key = solve_key(job.algorithm, job.chain, job.costs);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -239,7 +203,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
                 options_.max_n);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
-  if (have_warm_bound) ctx.set_warm_upper_bound(warm_bound);
   OptimizationResult result;
   try {
     result = optimize(job.algorithm, ctx);

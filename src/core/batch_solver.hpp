@@ -85,17 +85,16 @@ struct BatchOptions {
   /// their next use -- results are unaffected.  Runtime-adjustable via
   /// set_cache_budget().
   std::size_t cache_budget_bytes = 0;
-  /// Retain a resumable core::SolveCheckpoint when a solve_job() for a
-  /// multi-level DP (kADMVstar/kADMV) is interrupted: a later solve_job()
-  /// of the same workload (equal core::solve_key) resumes it, re-executing only the slabs the interrupted run
-  /// did not finish, with bit-identical results.  The retained state is
-  /// the job's level tables (see detail::LevelTables), so a service that
-  /// interrupts large solves should bound it with
-  /// checkpoint_budget_bytes; release_scratch() always drops it.
-  bool keep_checkpoints = true;
-  /// LRU byte budget over retained checkpoints; 0 keeps them unbounded.
-  /// Oldest-interrupted first; a dropped checkpoint just means the job
-  /// starts from scratch on its next submission.
+  /// An interrupted solve_job() for a multi-level DP (kADMVstar/kADMV)
+  /// always retains a resumable core::SolveCheckpoint: a later solve_job()
+  /// of the same workload (equal core::solve_key) resumes it, re-executing
+  /// only the slabs the interrupted run did not finish, with bit-identical
+  /// results.  The retained state is the job's level tables (see
+  /// detail::LevelTables), so a service that interrupts large solves
+  /// should bound it with this LRU byte budget (0 keeps them unbounded;
+  /// oldest-interrupted first); release_scratch() always drops them.  A
+  /// dropped checkpoint just means the job starts from scratch on its
+  /// next submission.
   std::size_t checkpoint_budget_bytes = 0;
   /// Memoize final plans in a core::PlanCache and serve repeat
   /// submissions from it: exact key matches return the stored result
@@ -140,13 +139,10 @@ struct BatchStats {
   /// resumes skipped instead of re-executing.
   std::size_t checkpoints_resumed = 0;
   std::size_t checkpoint_slabs_skipped = 0;
-  /// Table builds served by the incremental patch path: a same-shape
-  /// donor entry (same chain weights, different rates/costs) was found
-  /// and only the invalidated coefficient streams were recomputed.
-  /// Counted inside tables_built.
+  /// Row upgrades: an ADMV job hit a rowless entry, kept its WeightTable
+  /// and rebuilt the SegmentTables with rows.  Counted inside
+  /// tables_built.
   std::size_t tables_patched = 0;
-  /// Coefficient streams the patch builds copied instead of recomputing.
-  std::size_t patched_streams_reused = 0;
   /// Fresh solves whose objective exceeded the plan cache's warm upper
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
   /// certificate or solver bug.  Must stay 0.

@@ -78,19 +78,6 @@ class DpContext {
   }
   const CancelToken* cancel_token() const noexcept { return cancel_; }
 
-  /// Advisory upper bound on the optimal objective, supplied by the plan
-  /// cache when a stale-but-rescored plan exists (its evaluator score
-  /// bounds the optimum from above).  The DP kernels deliberately do NOT
-  /// prune on it -- that would break the bitwise-determinism contract of
-  /// cached vs cold solves -- but BatchSolver uses it as a post-solve
-  /// oracle guard (a fresh objective above the bound indicates a solver
-  /// or certificate bug; see BatchStats::warm_bound_violations).  <= 0
-  /// (the default) means "no bound known".
-  void set_warm_upper_bound(double bound) noexcept {
-    warm_upper_bound_ = bound;
-  }
-  double warm_upper_bound() const noexcept { return warm_upper_bound_; }
-
   /// Attaches a resumable checkpoint (core/solve_checkpoint.hpp) for the
   /// multi-level DPs (kADMVstar/kADMV): completed d1 slabs are committed
   /// into it, and a run that starts on a checkpoint holding progress for
@@ -138,7 +125,6 @@ class DpContext {
   platform::CostModel costs_;
   ScanMode scan_mode_ = ScanMode::kMonotonePruned;
   const CancelToken* cancel_ = nullptr;
-  double warm_upper_bound_ = 0.0;
   SolveCheckpoint* checkpoint_ = nullptr;
   simd::SimdTier simd_override_ = simd::SimdTier::kScalar;
   bool has_simd_override_ = false;

@@ -78,8 +78,6 @@ void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
 /// codegen (single call site, trivially inlined) and (b) the vector tiers
 /// have an in-crate oracle to be bit-compared against.
 struct ScalarKernels {
-  static constexpr bool kVector = false;
-
   static inline void affine(const double* ev_row, const double* exvg,
                             const double* b, const double* c,
                             const double* d, double k1, double k2,
@@ -123,8 +121,6 @@ struct ScalarKernels {
 
 /// 4-lane AVX2 kernels (out-of-line; see argmin_avx2.cpp).
 struct Avx2Kernels {
-  static constexpr bool kVector = true;
-
   static inline void affine(const double* ev_row, const double* exvg,
                             const double* b, const double* c,
                             const double* d, double k1, double k2,
@@ -147,8 +143,6 @@ struct Avx2Kernels {
 
 /// 8-lane AVX-512F/VL kernels (out-of-line; see argmin_avx512.cpp).
 struct Avx512Kernels {
-  static constexpr bool kVector = true;
-
   static inline void affine(const double* ev_row, const double* exvg,
                             const double* b, const double* c,
                             const double* d, double k1, double k2,

@@ -22,7 +22,6 @@
 //     ever reused under an equal solve key.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -59,10 +58,6 @@ inline std::uint64_t to_bits(double value) noexcept {
 
 namespace detail {
 
-/// Position of the first chain weight in a table key (after n, the two
-/// rates, and the two planning-law words).
-constexpr std::size_t kTableKeyWeightsAt = 5;
-
 /// Appends n, the rates, the planning law, and the weights.  Laws that
 /// reduce to the exponential build key as the exponential: their
 /// coefficient streams -- and hence their tables and plans -- are
@@ -94,23 +89,13 @@ inline SolveKey table_key(const chain::TaskChain& chain,
                           const platform::CostModel& costs) {
   SolveKey key;
   const std::size_t n = chain.size();
-  key.bits.reserve(detail::kTableKeyWeightsAt + 3 * n);
+  key.bits.reserve(5 + 3 * n);
   detail::append_model_and_weights(key.bits, chain, costs);
   for (std::size_t i = 1; i <= n; ++i) {
     key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
     key.bits.push_back(to_bits(costs.v_partial_after(i)));
   }
   return key;
-}
-
-/// True when two table keys cover the same chain (length and weights) --
-/// the test for a patch donor, whose tables differ only in what the rate
-/// and cost drift invalidated.
-inline bool same_chain_weights(const SolveKey& a, const SolveKey& b) noexcept {
-  const auto weights = a.bits.begin() + detail::kTableKeyWeightsAt;
-  return a.bits[0] == b.bits[0] &&
-         std::equal(weights, weights + static_cast<std::ptrdiff_t>(a.bits[0]),
-                    b.bits.begin() + detail::kTableKeyWeightsAt);
 }
 
 /// Key of one solve: every parameter `algorithm`'s DP reads.

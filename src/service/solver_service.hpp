@@ -71,9 +71,9 @@ struct ServiceOptions {
   /// the header comment.
   std::size_t workers = 0;
   /// Passed through to the embedded BatchSolver: max_n, the LRU cache
-  /// budget, the plan cache, and the interruption-checkpoint policy
-  /// (keep_checkpoints/checkpoint_budget_bytes -- what makes preempted
-  /// jobs resume instead of restart).
+  /// budget, the plan cache, and the interruption-checkpoint budget
+  /// (checkpoint_budget_bytes; retained checkpoints are what make
+  /// preempted jobs resume instead of restart).
   core::BatchOptions solver;
   /// Admission pricing, budget, and the deadline-feasibility screen
   /// (service/admission.hpp).

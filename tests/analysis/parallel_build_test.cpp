@@ -2,9 +2,9 @@
 // quadrangle inequality in blocks of columns) on all workers.  Every cell
 // has one writer and keeps its expression, and the certificate's
 // per-block partials fold exactly, so a build must be byte-identical at
-// any worker count: full and masked patch builds, both planning laws,
-// with and without the row streams, at sizes that fit one block (n <= 9)
-// and that span many (n = 64, 300).
+// any worker count: both planning laws, with and without the row
+// streams, at sizes that fit one block (n <= 9) and that span many
+// (n = 64, 300).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,17 +48,6 @@ Tables build_at(int workers, const chain::TaskChain& chain,
   out.table = std::make_unique<chain::WeightTable>(chain, costs.lambda_f(),
                                                    costs.lambda_s());
   out.seg = std::make_unique<SegmentTables>(*out.table, costs, rows);
-  return out;
-}
-
-Tables patch_at(int workers, const Tables& base,
-                const platform::CostModel& costs, bool rows) {
-  const ParallelismGuard guard(workers);
-  Tables out;
-  out.table = std::make_unique<chain::WeightTable>(
-      *base.table, costs.lambda_f(), costs.lambda_s());
-  out.seg = std::make_unique<SegmentTables>(*base.seg, *out.table, costs,
-                                            rows);
   return out;
 }
 
@@ -175,44 +164,6 @@ TEST(ParallelTableBuild, FullBuildsAreByteIdenticalAtAnyWorkerCount) {
           EXPECT_TRUE(cert.row_ok(n - 1)) << label(weibull, n, rows, "");
         }
       }
-    }
-  }
-}
-
-TEST(ParallelTableBuild, MaskedPatchBuildsAreByteIdenticalAtAnyWorkerCount) {
-  util::Xoshiro256 rng(0x9a7c4);
-  const platform::Platform p = amplified_hera();
-  struct Drift {
-    const char* what;
-    double lambda_f, lambda_s, v_guaranteed;
-  };
-  const Drift drifts[] = {{"lambda_f drift", 1.07, 1.0, 1.0},
-                          {"lambda_s drift", 1.0, 0.93, 1.0},
-                          {"V* drift", 1.0, 1.0, 1.3}};
-  for (const bool weibull : {false, true}) {
-    for (const std::size_t n : kSizes) {
-      const auto chain = chain::make_random(n, 25000.0, rng);
-      const platform::CostModel base_costs =
-          with_law(platform::CostModel(p), weibull);
-      for (const bool rows : {false, true}) {
-        const Tables base = build_at(1, chain, base_costs, rows);
-        for (const Drift& drift : drifts) {
-          platform::Platform q = p;
-          q.lambda_f *= drift.lambda_f;
-          q.lambda_s *= drift.lambda_s;
-          q.v_guaranteed *= drift.v_guaranteed;
-          const platform::CostModel next =
-              with_law(platform::CostModel(q), weibull);
-          expect_same(patch_at(1, base, next, rows),
-                      patch_at(kWorkers, base, next, rows),
-                      label(weibull, n, rows, drift.what));
-        }
-      }
-      // A rowless donor upgraded to rows rebuilds every row stream.
-      const Tables rowless = build_at(1, chain, base_costs, false);
-      expect_same(patch_at(1, rowless, base_costs, true),
-                  patch_at(kWorkers, rowless, base_costs, true),
-                  label(weibull, n, true, "row upgrade"));
     }
   }
 }

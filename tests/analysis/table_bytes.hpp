@@ -1,11 +1,10 @@
 // Byte comparison of every stored cell of two coefficient-table builds.
 //
 // Shared by the tests that pin two builds of the O(n^2) tables as
-// byte-identical: patched vs from-scratch (segment_tables_patch_test),
-// Weibull shape 1 vs exponential (weibull_law_test), and one worker vs
-// many (parallel_build_test).  The streams are packed triangles
-// (util/triangle.hpp), so a column j is compared over i in [0, j] and a
-// row i over j in [i, n] -- exactly the cells a build writes.
+// byte-identical: Weibull shape 1 vs exponential (weibull_law_test) and
+// one worker vs many (parallel_build_test).  The streams are packed
+// triangles (util/triangle.hpp), so a column j is compared over i in
+// [0, j] and a row i over j in [i, n] -- exactly the cells a build writes.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -40,7 +40,7 @@ constexpr std::size_t kMixedTableKeys = 4;
 
 /// Table-cache counters that hold in any job order.  Every DP job that
 /// reaches the table cache either reuses an entry or builds one, and each
-/// key costs one fresh build; the only other builds are patch builds, as
+/// key costs one fresh build; the only other builds are row upgrades, as
 /// when an ADMV job row-upgrades the rowless entry an ADV* job sharing
 /// its key built first.
 void expect_table_counts(const BatchStats& stats, std::size_t keys,
@@ -142,12 +142,41 @@ TEST(BatchSolver, RowlessEntryIsUpgradedWhenAdmvJoins) {
   const auto mixed = solver.solve({{Algorithm::kADMV, chain, costs},
                                    {Algorithm::kADVstar, chain, costs}});
   EXPECT_EQ(solver.stats().tables_built, 2u);  // rebuilt with rows
+  EXPECT_EQ(solver.stats().tables_patched, 1u);  // ... as a row upgrade
   const auto adv = optimize(Algorithm::kADVstar, chain, costs);
   const auto admv = optimize(Algorithm::kADMV, chain, costs);
   EXPECT_EQ(mixed[0].expected_makespan, admv.expected_makespan);
   EXPECT_EQ(mixed[0].plan, admv.plan);
   EXPECT_EQ(mixed[1].expected_makespan, adv.expected_makespan);
   EXPECT_EQ(mixed[1].plan, adv.plan);
+}
+
+TEST(BatchSolver, DriftedRatesResolveWithAFullBuild) {
+  // A job on a cached chain under drifted error rates has its own table
+  // key: its tables are built from scratch (not counted as a row
+  // upgrade), and its result is standalone optimize()'s, bit for bit.
+  const auto chain = chain::make_uniform(30, 25000.0);
+  const platform::CostModel base_costs{platform::hera()};
+  platform::Platform drifted = platform::hera();
+  drifted.lambda_f *= 1.07;
+  drifted.lambda_s *= 0.93;
+  const platform::CostModel drifted_costs{drifted};
+  for (const Algorithm algorithm : {Algorithm::kADVstar, Algorithm::kADMV}) {
+    BatchSolver solver;
+    solver.solve_job({algorithm, chain, base_costs});
+    const BatchStats before = solver.stats();
+    const auto result = solver.solve_job({algorithm, chain, drifted_costs});
+    const BatchStats after = solver.stats();
+    EXPECT_EQ(after.tables_built, before.tables_built + 1)
+        << to_string(algorithm);
+    EXPECT_EQ(after.tables_patched, before.tables_patched)
+        << to_string(algorithm);
+    const auto alone = optimize(algorithm, chain, drifted_costs);
+    EXPECT_TRUE(results_bitwise_equal(result, alone)) << to_string(algorithm);
+    EXPECT_NE(result.expected_makespan,
+              optimize(algorithm, chain, base_costs).expected_makespan)
+        << to_string(algorithm);
+  }
 }
 
 TEST(BatchSolver, JobsDifferingOnlyInCheckpointCostsShareTables) {

@@ -379,27 +379,6 @@ TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
   EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
 }
 
-TEST(SolveCheckpoint, DisabledCheckpointsKeepNothing) {
-  const ParallelismGuard serial(1);
-  BatchOptions options;
-  options.keep_checkpoints = false;
-  BatchSolver solver(options);
-  const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(48, 25000.0),
-                     platform::CostModel{platform::hera()}};
-  CancelToken token;
-  token.trip_after_polls(800);
-  EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  const BatchStats stats = solver.stats();
-  EXPECT_EQ(stats.checkpoints_saved, 0u);
-  EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
-  // The retry simply restarts -- and is still exact.
-  const OptimizationResult result = solver.solve_job(job);
-  BatchSolver fresh;
-  const OptimizationResult expected = fresh.solve_job(job);
-  EXPECT_EQ(result.expected_makespan, expected.expected_makespan);
-  EXPECT_EQ(result.plan, expected.plan);
-}
-
 /// Interrupts job `a` on a plan-cache-free solver, then solves job `b`
 /// through the same solver.  `b` shares `a`'s coefficient tables but not
 /// its solve inputs, so `a`'s retained checkpoint must neither be resumed

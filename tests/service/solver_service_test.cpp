@@ -67,7 +67,7 @@ TEST(SolverService, AsyncResultsMatchSynchronousBatchSolverBitwise) {
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
   // Same table-cache behaviour as the synchronous batch: one fresh build
-  // per distinct key.  Either path may add a patch build, when the ADV*
+  // per distinct key.  Either path may add a row upgrade, when the ADV*
   // job reaches the shared highlow/atlas key before the ADMV job and the
   // ADMV job row-upgrades its rowless tables.
   const core::BatchStats sync_stats = sync_solver.stats();
