@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   using namespace chainckpt;
   util::CliParser cli;
   cli.add_option("jobs", "24", "jobs in the burst");
-  cli.add_option("budget-mib", "8", "LRU table-cache budget (MiB)");
+  cli.add_option("budget-mib", "8",
+                 "LRU table-cache budget (MiB); 0 removes the bound");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text("solver_service: async SolverService demo");
@@ -37,7 +38,10 @@ int main(int argc, char** argv) {
 
   // 1. Configure the service: admission pricing with a concurrency
   //    budget, an LRU byte budget on the table cache, and a completion
-  //    callback counting terminal jobs.
+  //    callback counting terminal jobs.  Left unset, the table budget is
+  //    core::kDefaultCacheBudgetBytes (one max_n table pair, ~46.5 MiB),
+  //    more than this small burst ever builds; the demo tightens it so
+  //    eviction shows.
   service::ServiceOptions options;
   options.admission.budget_units = 256.0;
   options.admission.max_job_units = service::price_units(

@@ -138,6 +138,15 @@ class SegmentTables {
   /// Bytes held by the coefficient arrays -- what a BatchSolver cache
   /// entry keeps resident and release_scratch() gives back.
   std::size_t resident_bytes() const noexcept;
+  /// resident_bytes() of the tables over an n-task chain, with or
+  /// without rows, known before they are built: the two per-position
+  /// cost arrays plus the packed column (and row) streams.
+  static constexpr std::size_t resident_bytes_for(std::size_t n,
+                                                  bool rows) noexcept {
+    return (2 * (n + 1) + (kColumnStreams + (rows ? kRowStreams : 0)) *
+                              util::triangle_cells(n)) *
+           sizeof(double);
+  }
 
   /// The quadrangle-inequality probe over the column streams, computed
   /// once at construction (an O(n^2) pass, amortized across the
@@ -153,6 +162,10 @@ class SegmentTables {
                            std::size_t j) noexcept {
     return v.data() + util::triangle_col(j);
   }
+
+  /// Stream counts of the member lists below (resident_bytes_for).
+  static constexpr std::size_t kRowStreams = 8;
+  static constexpr std::size_t kColumnStreams = 5;
 
   std::size_t n_;
   bool has_rows_ = false;

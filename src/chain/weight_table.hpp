@@ -67,6 +67,11 @@ class WeightTable {
     return (prefix_.capacity() + em1_f_.capacity() + em1_s_.capacity()) *
            sizeof(double);
   }
+  /// resident_bytes() of a table over an n-task chain, known before it
+  /// is built (the default BatchSolver cache budget is sized from it).
+  static constexpr std::size_t resident_bytes_for(std::size_t n) noexcept {
+    return (n + 1 + 2 * util::triangle_cells(n)) * sizeof(double);
+  }
 
  private:
   std::size_t idx(std::size_t i, std::size_t j) const noexcept {

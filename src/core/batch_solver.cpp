@@ -163,8 +163,11 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       // rehash (pointer-stable, but re-looking up is simpler to reason
       // about than held references across the gap).
       TableEntry& built = cache_.try_emplace(key).first->second;
+      // An upgrade replaces the rowless SegmentTables it counted before.
+      cache_bytes_ -= entry_bytes(built);
       built.table = std::move(built_table);
       built.seg = std::move(built_seg);
+      cache_bytes_ += entry_bytes(built);
       built.building = false;
       built.last_used = ++use_tick_;
       ++stats_.tables_built;
@@ -267,8 +270,9 @@ std::size_t BatchSolver::release_scratch() {
   std::size_t freed = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    freed = cache_bytes_locked() + checkpoint_bytes_locked();
+    freed = cache_bytes_ + checkpoint_bytes_locked();
     cache_.clear();
+    cache_bytes_ = 0;
     checkpoints_.clear();
   }
   freed += plan_cache_.clear();
@@ -330,12 +334,12 @@ std::size_t BatchSolver::resident_bytes() const {
   std::size_t total = util::arena_resident_bytes() +
                       plan_cache_.resident_bytes();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return total + cache_bytes_locked() + checkpoint_bytes_locked();
+  return total + cache_bytes_ + checkpoint_bytes_locked();
 }
 
 std::size_t BatchSolver::cache_resident_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return cache_bytes_locked();
+  return cache_bytes_;
 }
 
 BatchStats BatchSolver::stats() const {
@@ -348,12 +352,6 @@ std::size_t BatchSolver::entry_bytes(const TableEntry& entry) noexcept {
   if (entry.table != nullptr) bytes += entry.table->resident_bytes();
   if (entry.seg != nullptr) bytes += entry.seg->resident_bytes();
   return bytes;
-}
-
-std::size_t BatchSolver::cache_bytes_locked() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : cache_) total += entry_bytes(entry);
-  return total;
 }
 
 std::size_t BatchSolver::checkpoint_bytes_locked() const noexcept {
@@ -383,8 +381,7 @@ std::size_t BatchSolver::evict_checkpoints_locked(std::size_t budget_bytes) {
 
 std::size_t BatchSolver::evict_locked(std::size_t budget_bytes) {
   std::size_t freed = 0;
-  std::size_t resident = cache_bytes_locked();
-  while (resident > budget_bytes) {
+  while (cache_bytes_ > budget_bytes) {
     // Oldest stamp first.  Entries mid-build are skipped: their bytes are
     // claimed by the builder and will be accounted at its own evict pass.
     auto victim = cache_.end();
@@ -398,7 +395,7 @@ std::size_t BatchSolver::evict_locked(std::size_t budget_bytes) {
     if (victim == cache_.end()) break;
     const std::size_t bytes = entry_bytes(victim->second);
     cache_.erase(victim);
-    resident -= bytes;
+    cache_bytes_ -= bytes;
     freed += bytes;
     ++stats_.tables_evicted;
     stats_.evicted_bytes += bytes;

@@ -13,11 +13,11 @@
 //     chain::WeightTable pair -- the dominant per-solve setup cost -- is
 //     built once per distinct (chain weights, cost model) key and shared
 //     by every job that matches, within a batch and across batches;
-//   * LRU eviction: an optional byte budget on that cache
-//     (BatchOptions::cache_budget_bytes) evicts least-recently-used
-//     entries after each solve instead of the all-or-nothing
-//     release_scratch(), so a long-lived service bounds table residency
-//     while hot keys stay cached;
+//   * LRU eviction: a byte budget on that cache
+//     (BatchOptions::cache_budget_bytes, by default one max_n table pair)
+//     evicts least-recently-used entries after each solve instead of the
+//     all-or-nothing release_scratch(), so a long-lived service bounds
+//     table residency while hot keys stay cached;
 //   * one thread-local arena pool: the solvers' grow-only scratch
 //     (util::ArenaBlock) is reused across the whole batch, so steady-state
 //     solving performs no per-job scratch allocation;
@@ -51,6 +51,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/segment_tables.hpp"
+#include "chain/weight_table.hpp"
 #include "core/cancellation.hpp"
 #include "core/optimizer.hpp"
 #include "core/plan_cache.hpp"
@@ -74,17 +76,28 @@ struct BatchJob {
   double cache_epsilon = -1.0;
 };
 
+/// The default byte budget of both BatchSolver caches: the resident bytes
+/// of one rowful (WeightTable, SegmentTables) pair at
+/// DpContext::kDefaultMaxN, ~46.5 MiB.  One max_n entry always fits, so a
+/// checkpoint-price sweep at max_n still shares its tables and an ADMV
+/// row upgrade still finds the entry an ADV* job left; at typical service
+/// sizes (n ~ 300) dozens of recent entries stay hot.
+inline constexpr std::size_t kDefaultCacheBudgetBytes =
+    chain::WeightTable::resident_bytes_for(DpContext::kDefaultMaxN) +
+    analysis::SegmentTables::resident_bytes_for(DpContext::kDefaultMaxN,
+                                                /*rows=*/true);
+
 struct BatchOptions {
   /// Upper bound on chain length, guarding the dense O(n^3) DP tables
   /// (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
-  /// Byte budget for the coefficient-table cache; 0 keeps it unbounded.
-  /// After every solve_job(), least-recently-used entries are
-  /// evicted until the cache fits (an entry larger than the whole budget
-  /// is evicted right after its solve).  Evicted keys simply rebuild on
-  /// their next use -- results are unaffected.  Runtime-adjustable via
-  /// set_cache_budget().
-  std::size_t cache_budget_bytes = 0;
+  /// Byte budget for the coefficient-table cache (default
+  /// kDefaultCacheBudgetBytes; 0 removes the bound).  After every
+  /// solve_job(), least-recently-used entries are evicted until the
+  /// cache fits (an entry larger than the whole budget is evicted right
+  /// after its solve).  Evicted keys simply rebuild on their next use --
+  /// results are unaffected.  Runtime-adjustable via set_cache_budget().
+  std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// An interrupted solve_job() for a multi-level DP (kADMVstar/kADMV)
   /// always retains a resumable core::SolveCheckpoint: a later solve_job()
   /// of the same workload (equal core::solve_key) resumes it, re-executing
@@ -101,10 +114,10 @@ struct BatchOptions {
   /// bitwise; near-misses may be served under an epsilon tolerance (see
   /// plan_cache_epsilon).
   bool enable_plan_cache = true;
-  /// LRU byte budget for the plan cache; 0 keeps it unbounded (plans are
-  /// a few hundred bytes each).  Runtime-adjustable via
-  /// set_plan_cache_budget().
-  std::size_t plan_cache_budget_bytes = 0;
+  /// LRU byte budget for the plan cache (default
+  /// kDefaultCacheBudgetBytes, thousands of plans; 0 removes the bound).
+  /// Runtime-adjustable via set_plan_cache_budget().
+  std::size_t plan_cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// Default epsilon for jobs that leave BatchJob::cache_epsilon
   /// negative.  0 (the default) serves exact hits only.
   double plan_cache_epsilon = 0.0;
@@ -255,7 +268,6 @@ class BatchSolver {
   static std::size_t entry_bytes(const TableEntry& entry) noexcept;
 
   /// The following helpers require mutex_ to be held.
-  std::size_t cache_bytes_locked() const noexcept;
   std::size_t evict_locked(std::size_t budget_bytes);
   std::size_t checkpoint_bytes_locked() const noexcept;
   std::size_t evict_checkpoints_locked(std::size_t budget_bytes);
@@ -268,9 +280,12 @@ class BatchSolver {
   /// Keyed by core::table_key.
   std::unordered_map<SolveKey, TableEntry, SolveKeyHash> cache_;
   std::unordered_map<SolveKey, CheckpointEntry, SolveKeyHash> checkpoints_;
+  /// Running sum of entry_bytes() over cache_, kept wherever an entry's
+  /// tables are set or erased, so the per-solve budget check is O(1).
+  std::size_t cache_bytes_ = 0;
   std::uint64_t use_tick_ = 0;
-  /// Guards cache_, checkpoints_, stats_, use_tick_, and the budget
-  /// options.
+  /// Guards cache_, cache_bytes_, checkpoints_, stats_, use_tick_, and
+  /// the budget options.
   mutable std::mutex mutex_;
   std::condition_variable build_done_;
 };

@@ -125,6 +125,7 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
     // the determinism contract, keep the incumbent.
     it->second->last_used = use_tick_;
   } else {
+    resident_bytes_ += entry->bytes;
     ++stats_.inserts;
   }
   shape_index_[entry->shape_key] = entry->exact_key;
@@ -168,15 +169,16 @@ void PlanCache::set_budget(std::size_t budget_bytes) {
 
 std::size_t PlanCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t freed = resident_bytes_locked();
+  const std::size_t freed = resident_bytes_;
   entries_.clear();
   shape_index_.clear();
+  resident_bytes_ = 0;
   return freed;
 }
 
 std::size_t PlanCache::resident_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_locked();
+  return resident_bytes_;
 }
 
 std::size_t PlanCache::size() const {
@@ -189,16 +191,9 @@ PlanCacheStats PlanCache::stats_snapshot() const {
   return stats_;
 }
 
-std::size_t PlanCache::resident_bytes_locked() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : entries_) total += entry->bytes;
-  return total;
-}
-
 std::size_t PlanCache::evict_locked(std::size_t budget_bytes) {
   std::size_t freed = 0;
-  std::size_t resident = resident_bytes_locked();
-  while (resident > budget_bytes && !entries_.empty()) {
+  while (resident_bytes_ > budget_bytes && !entries_.empty()) {
     auto victim = entries_.begin();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second->last_used < victim->second->last_used) victim = it;
@@ -211,7 +206,7 @@ std::size_t PlanCache::evict_locked(std::size_t budget_bytes) {
         shape_it->second == entry.exact_key) {
       shape_index_.erase(shape_it);
     }
-    resident -= entry.bytes;
+    resident_bytes_ -= entry.bytes;
     freed += entry.bytes;
     stats_.evicted_bytes += entry.bytes;
     ++stats_.evictions;

@@ -55,7 +55,8 @@
 namespace chainckpt::core {
 
 struct PlanCacheConfig {
-  /// LRU byte budget; 0 keeps the cache unbounded.
+  /// LRU byte budget; 0 keeps the cache unbounded.  (BatchSolver passes
+  /// BatchOptions::plan_cache_budget_bytes, which is bounded by default.)
   std::size_t budget_bytes = 0;
 };
 
@@ -163,7 +164,6 @@ class PlanCache {
 
   static std::size_t entry_bytes(const Entry& entry) noexcept;
 
-  std::size_t resident_bytes_locked() const noexcept;
   std::size_t evict_locked(std::size_t budget_bytes);
 
   PlanCacheConfig config_;
@@ -173,6 +173,9 @@ class PlanCache {
   /// Most recent entry per shape key -- the candidate a near-miss lookup
   /// checks the certificate against.
   std::unordered_map<SolveKey, SolveKey, SolveKeyHash> shape_index_;
+  /// Running sum of Entry::bytes over entries_, so the per-insert budget
+  /// check is O(1).
+  std::size_t resident_bytes_ = 0;
   std::uint64_t use_tick_ = 0;
   mutable std::mutex mutex_;
 };

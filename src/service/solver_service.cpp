@@ -340,6 +340,10 @@ std::size_t SolverService::resident_bytes() const {
   return solver_.resident_bytes();
 }
 
+std::size_t SolverService::cache_resident_bytes() const {
+  return solver_.cache_resident_bytes();
+}
+
 std::size_t SolverService::release_scratch() {
   return solver_.release_scratch();
 }

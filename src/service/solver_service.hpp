@@ -32,9 +32,11 @@
 //     checkpoints as a core::CancelToken (core/cancellation.hpp), with
 //     deadline-infeasible submissions rejected up front once the class
 //     is calibrated (service/admission.hpp);
-//   * bounded memory: the table cache inherits BatchSolver's LRU budget
-//     (BatchOptions::cache_budget_bytes), interruption checkpoints are
-//     bounded by BatchOptions::checkpoint_budget_bytes, and
+//   * bounded memory: the table and plan caches inherit BatchSolver's
+//     LRU budgets (BatchOptions::cache_budget_bytes and
+//     plan_cache_budget_bytes, one max_n table pair each by default),
+//     interruption checkpoints are bounded by
+//     BatchOptions::checkpoint_budget_bytes (unbounded by default), and
 //     release_scratch() remains available at quiescent points.
 //
 // Determinism: a job's result is bit-identical to a standalone
@@ -70,8 +72,9 @@ struct ServiceOptions {
   /// concurrency is min(workers, OpenMP threads) -- see the pool note in
   /// the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: max_n, the LRU cache
-  /// budget, the plan cache, and the interruption-checkpoint budget
+  /// Passed through to the embedded BatchSolver: max_n, the LRU budgets
+  /// of the table and plan caches (bounded by default; 0 unbounds), and
+  /// the interruption-checkpoint budget
   /// (checkpoint_budget_bytes; retained checkpoints are what make
   /// preempted jobs resume instead of restart).
   core::BatchOptions solver;
@@ -215,8 +218,13 @@ class SolverService {
   /// max_n); the wire edge advertises it in kWelcome.
   std::size_t max_n() const noexcept { return options_.solver.max_n; }
 
-  /// Table-cache + arena residency of the embedded solver.
+  /// Table-cache + plan-cache + checkpoint + arena residency of the
+  /// embedded solver.
   std::size_t resident_bytes() const;
+
+  /// Bytes held by the embedded solver's table cache alone -- the pool
+  /// ServiceOptions::solver.cache_budget_bytes bounds.
+  std::size_t cache_resident_bytes() const;
 
   /// Quiescent-point release of the embedded solver's cache and the
   /// process-wide arenas; call only while drained (the arena pool
