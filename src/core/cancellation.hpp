@@ -31,7 +31,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace chainckpt::core {
 
@@ -90,12 +92,19 @@ class CancelToken {
                        std::memory_order_relaxed);
   }
 
-  /// Test/chaos hook: fires the cancel flag from inside the poll after
-  /// `polls` further checkpoints (0 fires on the very next poll).  Gives
-  /// the interruption batteries a deterministic way to stop a solve at an
-  /// exact checkpoint without racing a second thread; negative disables
-  /// (the default).  Counts polls across all workers of the solve.
-  void trip_after_polls(std::int64_t polls) noexcept {
+  /// Test/chaos hook: trips from inside the poll after `polls` further
+  /// checkpoints (0 trips on the very next poll).  Gives the interruption
+  /// batteries a deterministic way to stop a solve at an exact checkpoint
+  /// without racing a second thread; negative disables (the default).
+  /// Counts polls across all workers of the solve.  Without `action` the
+  /// trip latches the cancel flag; with one, the tripping poll runs it on
+  /// the polling thread instead, before it reads the flags -- so an action
+  /// that gets the token preempted (the service tests submit a displacing
+  /// job from it) unwinds the solve at that very poll.  Arm it before the
+  /// solve starts.
+  void trip_after_polls(std::int64_t polls,
+                        std::function<void()> action = {}) {
+    trip_action_ = std::move(action);
     trip_remaining_.store(polls, std::memory_order_relaxed);
   }
 
@@ -152,13 +161,18 @@ class CancelToken {
   }
 
  private:
-  /// Counts down the trip hook; sticks the cancel flag when it reaches
-  /// zero so every worker of the solve unwinds, not just the poller that
-  /// hit the boundary.  One relaxed load on the untripped fast path.
-  void maybe_trip() const noexcept {
+  /// Counts down the trip hook; when it reaches zero, runs the trip
+  /// action or sticks the cancel flag so every worker of the solve
+  /// unwinds, not just the poller that hit the boundary.  One relaxed
+  /// load on the untripped fast path.
+  void maybe_trip() const {
     if (trip_remaining_.load(std::memory_order_relaxed) < 0) return;
     if (trip_remaining_.fetch_sub(1, std::memory_order_relaxed) == 0) {
-      cancelled_.store(true, std::memory_order_relaxed);
+      if (trip_action_) {
+        trip_action_();
+      } else {
+        cancelled_.store(true, std::memory_order_relaxed);
+      }
     }
   }
 
@@ -171,6 +185,7 @@ class CancelToken {
   std::atomic<std::int64_t> deadline_ns_{0};
   /// Test/chaos poll-trip countdown; negative = disabled.
   mutable std::atomic<std::int64_t> trip_remaining_{-1};
+  std::function<void()> trip_action_;
 };
 
 /// Null-tolerant checkpoint used by the DP drivers: a solve without a

@@ -162,10 +162,16 @@ struct PartialSegmentSolver {
       }
       double best = s.t0[p1] + c_to_v2[p1] * ev;
       std::size_t best_p2 = v2;
+      // Strict-less leftmost argmin.  The minimum rarely moves, so the
+      // branch predicts well; the empty asm keeps GCC from if-converting
+      // the update into a min/cmov chain, which serializes every element
+      // on the previous one -- ~1.7x on the whole solve, and GCC picks
+      // it or not depending on the surrounding engine code.
       for (std::size_t p2 = p1 + 1; p2 < v2; ++p2) {
         if (cand[p2] < best) {
           best = cand[p2];
           best_p2 = p2;
+          asm volatile("" : "+r"(best_p2));
         }
       }
       ep[p1] = best;
@@ -216,12 +222,11 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   const double g = cm.miss();
 
   // The dense engine invokes this kernel exactly once per (d1, m1, j)
-  // step with [lo, hi) = [m1, j), so the planes are built once per scan,
-  // exactly as the PartialScratch contract describes.  A windowed v1 scan
-  // would re-enter the kernel per step and would need to key the plane
-  // builds.
+  // step with lo = m1, so the planes are built once per scan, exactly as
+  // the PartialScratch contract describes.  A windowed v1 scan would
+  // re-enter the kernel per step and would need to key the plane builds.
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
-                        std::size_t hi, std::size_t j, double emem_at_m1,
+                        std::size_t j, double emem_at_m1,
                         const double* everif_row, double& best,
                         std::int32_t& best_arg) {
     PartialScratch& scratch = partial_scratch();
@@ -230,7 +235,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
                                emem_at_m1, 0.0};
     solver.build_planes(m1, j, left.r_disk + left.e_mem,
                         (1.0 - g) * left.r_mem, left.r_mem, scratch);
-    for (std::size_t v1 = lo; v1 < hi; ++v1) {
+    for (std::size_t v1 = lo; v1 < j; ++v1) {
       left.e_verif = everif_row[v1];
       solver.solve(v1, j, left, scratch);
       const double candidate = everif_row[v1] + scratch.ep[v1];
@@ -249,9 +254,11 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // its "candidates" is a full O(len^2) inner DP, not a stream element,
   // so there is nothing for the vector argmin tiers to vectorize -- and
   // re-instantiating the engine around the fused solver for each tier
-  // would only risk its codegen.  Its scan counters are all zero.
+  // would only risk its codegen.  Its scan counters are all zero.  The
+  // engine scans row blocks off a v1-major plane; gathered_rows hands
+  // this per-row scan each row as a unit-stride copy.
   detail::run_level_dp_impl</*kPruned=*/false, simd::ScalarKernels>(
-      ctx, tables, scan, /*scan_stats=*/nullptr);
+      ctx, tables, detail::gathered_rows(scan), /*scan_stats=*/nullptr);
 
   // Partial positions of a winning segment are re-derived from the (now
   // final) E_verif / E_mem tables: same inputs, same deterministic inner

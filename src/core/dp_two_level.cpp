@@ -18,7 +18,7 @@ OptimizationResult optimize_two_level(const chain::TaskChain& chain,
 namespace {
 
 /// The solve body, instantiated once per SIMD kernel tier K so the fused
-/// Eq. (4) scan compiles straight onto K::affine with no dispatch inside
+/// Eq. (4) scan compiles straight onto K::affine_rows with no dispatch inside
 /// the step (see run_level_dp_impl's codegen note).  K = ScalarKernels
 /// reproduces the historic loop token for token; the vector tiers are
 /// bitwise identical to it by the kernel determinism contract.
@@ -43,16 +43,25 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   // Paper Eq. (4) fused over the hoisted SoA columns: for the verified
   // segment (v1, j] in context (d1, m1),
   //   E = es*(x + V*) + b*(R_D + E_mem) + c*E_verif + d*R_M
-  // where exvg = es*(x + V*) and b/c/d depend only on (v1, j) and are read
-  // at unit stride -- exactly the argmin_affine kernel shape.
-  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
-                        std::size_t hi, std::size_t j, double emem_at_m1,
-                        const double* everif_row, double& best,
-                        std::int32_t& best_arg) {
-    const double k1 = cm.r_disk_after(d1) + emem_at_m1;
-    const double k2 = cm.r_mem_after(m1);
-    K::affine(everif_row, seg.exvg_col(j), seg.b_col(j), seg.c_col(j),
-              seg.d_col(j), k1, k2, lo, hi, best, best_arg);
+  // where exvg = es*(x + V*) and b/c/d depend only on (v1, j) -- a
+  // broadcast per v1 -- while k1 = R_D + E_mem and k2 = R_M depend only on
+  // the row: exactly the argmin_affine_rows kernel shape, one call per
+  // block of rows.
+  const auto scan = [&](std::size_t d1, std::size_t first_row,
+                        std::size_t rows, std::size_t lo, std::size_t j,
+                        const double* emem_row, const double* plane,
+                        std::size_t stride, double* best,
+                        std::int32_t* best_arg) {
+    double k1[simd::kRowBlock];
+    double k2[simd::kRowBlock];
+    const double r_disk = cm.r_disk_after(d1);
+    for (std::size_t r = 0; r < rows; ++r) {
+      k1[r] = r_disk + emem_row[first_row + r];
+      k2[r] = cm.r_mem_after(first_row + r);
+    }
+    K::affine_rows(plane + first_row, stride, seg.exvg_col(j), seg.b_col(j),
+                   seg.c_col(j), seg.d_col(j), k1, k2, first_row, rows, lo, j,
+                   best, best_arg);
   };
 
   ScanStats scan_stats;

@@ -11,7 +11,7 @@
 //
 // and differ only in <segment>: Eq. (4) for ADMV*, the E_partial inner DP
 // for ADMV.  The inner v1 scan is injected as a template parameter (see
-// the ColumnScanner contract below) so there is zero dispatch cost in the
+// the RowBlockScanner contract below) so there is zero dispatch cost in the
 // innermost loop and each algorithm can fuse its segment formula into a
 // branch-light kernel over flat SoA arrays (analysis::SegmentTables).
 //
@@ -19,9 +19,11 @@
 // E_verif(d1, m1, j) consumes E_mem(d1, m1) and E_verif(d1, m1, v1 < j),
 // both finalized at earlier j; different d1 slabs are fully independent,
 // which is what the parallelization exploits.  Each slab runs on a
-// contiguous thread-local scratch plane (SlabScratch) so the v1 scans read
-// unit-stride rows and the m1-scan of the E_mem pass reads a gathered
-// contiguous column, independent of the global LevelTables strides.
+// contiguous thread-local scratch plane (SlabScratch) laid out v1-major,
+// plane[v1 * (n + 1) + m1] = E_verif(d1, m1, v1): step j writes its
+// results E_verif(d1, ·, j) as one contiguous plane row, the E_mem m1
+// scan reads that row in place, and a row-block v1 scan loads the values
+// of consecutive rows m1 at one v1 as one contiguous vector.
 #pragma once
 
 #include <algorithm>
@@ -113,9 +115,11 @@ struct LevelTables {
   }
 };
 
-/// Per-slab scratch: the (m1, v1) plane of E_verif values for the current
-/// d1 kept contiguous and cache-hot, plus the E_verif(d1, ·, j) column
-/// gathered for the E_mem scan.  thread_local so each worker allocates the
+/// Per-slab scratch: the v1-major plane of E_verif values for the current
+/// d1, plane[v1 * (n + 1) + m1] = E_verif(d1, m1, v1), kept contiguous and
+/// cache-hot, plus one O(n) column: the gathered row of a per-row scanner
+/// (gathered_rows) and the gathered E_mem column of the E_disk pass.
+/// thread_local so each worker allocates the
 /// O(n^2) plane once, not once per slab; registered with the arena pool so
 /// a long-lived embedding can drop it (util::release_all_arenas, reached
 /// through core::BatchSolver::release_scratch).
@@ -145,21 +149,54 @@ inline SlabScratch& slab_scratch() {
   return scratch;
 }
 
-/// ColumnScanner contract:
+/// Adapts a per-row scanner
 ///   void operator()(std::size_t d1, std::size_t m1, std::size_t lo,
-///                   std::size_t hi, std::size_t j, double emem_at_m1,
+///                   std::size_t j, double emem_at_m1,
 ///                   const double* everif_row, double& best,
 ///                   std::int32_t& best_arg) const;
-/// where everif_row[v1] = E_verif(d1, m1, v1) for v1 in [m1, j), unit
-/// stride.  The scanner must fold the candidates
+/// where everif_row[v1] = E_verif(d1, m1, v1) at unit stride, to the
+/// RowBlockScanner contract below: each row is gathered out of the
+/// v1-major plane into the slab's scratch column first.  The gather is
+/// O(j - m1) against the O((j - m1)^3) work of ADMV's partial scan, the
+/// one per-row scanner.
+template <typename RowScanner>
+auto gathered_rows(const RowScanner& scan) {
+  return [&scan](std::size_t d1, std::size_t first_row, std::size_t rows,
+                 std::size_t lo, std::size_t j, const double* emem_row,
+                 const double* plane, std::size_t stride, double* best,
+                 std::int32_t* best_arg) {
+    double* row = slab_scratch().column.data();
+    for (std::size_t m1 = first_row; m1 < first_row + rows; ++m1) {
+      for (std::size_t v1 = m1; v1 < j; ++v1) row[v1] = plane[v1 * stride + m1];
+      scan(d1, m1, std::max(lo, m1), j, emem_row[m1], row,
+           best[m1 - first_row], best_arg[m1 - first_row]);
+    }
+  };
+}
+
+/// RowBlockScanner contract:
+///   void operator()(std::size_t d1, std::size_t first_row,
+///                   std::size_t rows, std::size_t lo, std::size_t j,
+///                   const double* emem_row, const double* plane,
+///                   std::size_t stride, double* best,
+///                   std::int32_t* best_arg) const;
+/// folds, for each of the rows m1 = first_row + r (r < rows <=
+/// simd::kRowBlock), the candidates
 ///   E_verif(d1, m1, v1) + <segment>(d1, m1, v1, j)
-/// for v1 in [lo, hi) into `best`/`best_arg` with the strict-less
-/// leftmost-argmin rule (matching the determinism contract); callers seed
-/// best = +inf, best_arg = -1.  The dense formulation passes
-/// [lo, hi) = [m1, j); ScanMode::kMonotonePruned drives sub-ranges
-/// through core::MonotoneScanner, whose gate + guard keep the combined
-/// result bit-identical to the dense scan.  It must be safe to call
-/// concurrently for different d1.
+/// for v1 in [max(lo, m1), j) into best[r] / best_arg[r] with the
+/// strict-less leftmost-argmin rule (matching the determinism contract);
+/// the engine seeds +inf / -1.  plane[v1 * stride + m1] holds
+/// E_verif(d1, m1, v1) for m1 <= v1 < j, emem_row[m1] = E_mem(d1, m1);
+/// lo >= first_row.  The dense formulation passes lo = first_row, so
+/// every row scans [m1, j).  ScanMode::kMonotonePruned opens each row's
+/// window through core::MonotoneScanner, scans the block once from the
+/// smallest window start, and lets MonotoneScanner::settle() send any
+/// row whose argmin is at or left of its own window start back to a
+/// dense one-row rescan -- keeping the result bit-identical to the dense
+/// scan wherever the window is right.  It must be safe to call
+/// concurrently for different d1.  ADMV*'s scanner is one
+/// K::affine_rows call; a per-row scanner (ADMV) adapts through
+/// gathered_rows().
 ///
 /// Only the v1 scans are windowed: the QI certificate checks the
 /// coefficient streams those Eq. (4) scans read.  The E_mem m1 chain and
@@ -177,18 +214,18 @@ inline SlabScratch& slab_scratch() {
 /// uncheckpointed loop.
 ///
 /// The window mode is a compile-time parameter of the implementation:
-/// the dense instantiation must stay token-identical to the
-/// scanner-free engine -- even a dead runtime branch or an out-of-line
-/// call in the step body measurably deoptimizes the fused kernels GCC
-/// inlines into the slab (2x swings on the ADMV inner solver) -- so
-/// run_level_dp dispatches once on ctx.scan_mode(), and drivers whose
-/// scans have nothing to window (ADMV) instantiate the dense body
-/// directly.  The SIMD tier K follows the same discipline: a
-/// compile-time kernel facade (core/simd/argmin_kernels.hpp), dispatched
-/// once at driver entry, never a runtime branch in the step body.
-template <bool kPruned, typename K, typename ColumnScanner>
+/// the dense instantiation carries no scanner code -- even a dead
+/// runtime branch or an out-of-line call in the step body measurably
+/// deoptimizes the fused kernels GCC inlines into the slab (2x swings on
+/// the ADMV inner solver) -- so run_level_dp dispatches once on
+/// ctx.scan_mode(), and drivers whose scans have nothing to window
+/// (ADMV) instantiate the dense body directly.  The SIMD tier K follows
+/// the same discipline: a compile-time kernel facade
+/// (core/simd/argmin_kernels.hpp), dispatched once at driver entry, never
+/// a runtime branch in the step body.
+template <bool kPruned, typename K, typename RowBlockScanner>
 void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
-                       const ColumnScanner& scan, ScanStats* scan_stats) {
+                       const RowBlockScanner& scan, ScanStats* scan_stats) {
   const std::size_t n = ctx.n();
   const auto& costs = ctx.costs();
   const CancelToken* cancel = ctx.cancel_token();
@@ -226,10 +263,11 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
     SlabScratch& scratch = slab_scratch();
     scratch.ensure(n);
     double* plane = scratch.plane.data();
-    double* column = scratch.column.data();
     const std::size_t stride = n + 1;
     const double* emem_row = t.emem.data() + t.idx2(d1, 0);
     MonotoneScanner scanner(kPruned ? n : 0);
+    constexpr std::size_t kRows = simd::kRowBlock;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
 
     t.emem[t.idx2(d1, d1)] = 0.0;  // E_mem(d1, d1) = 0
     t.best_m1[t.idx2(d1, d1)] = static_cast<std::int32_t>(d1);
@@ -240,39 +278,57 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
       // same token and unwind too, and parallel_for rethrows the first
       // SolveInterrupted on the calling thread.
       poll_cancellation(cancel);
-      // E_verif(d1, m1, j) for all m1 in [d1, j).
-      for (std::size_t m1 = d1; m1 < j; ++m1) {
-        double* row = plane + m1 * stride;
-        if (m1 + 1 == j) {
-          row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
-          if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-          if constexpr (kPruned) scanner.begin_row(m1, cert->row_ok(m1));
-        }
-        const double emem_at_m1 = emem_row[m1];
-        CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
+      // Row m1 = j - 1 starts: E_verif(d1, m1, m1) = 0, and E_mem(d1, m1)
+      // -- which every later step of the row reads -- is final.
+      {
+        const std::size_t m1 = j - 1;
+        plane[m1 * stride + m1] = 0.0;
+        if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
+        CHAINCKPT_ASSERT(emem_row[m1] == emem_row[m1],
                          "E_mem(d1, m1) must be finalized before use");
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t best_arg = -1;
-        if constexpr (kPruned) {
-          scanner.step(
-              m1, j,
-              [&](std::size_t lo, std::size_t hi, double& b,
-                  std::int32_t& a) {
-                scan(d1, m1, lo, hi, j, emem_at_m1, row, b, a);
-              },
-              best, best_arg);
-        } else {
-          scan(d1, m1, m1, j, j, emem_at_m1, row, best, best_arg);
-        }
-        row[j] = best;
-        column[m1] = best;
-        if (keep_values) t.everif[t.idx3(d1, m1, j)] = best;
-        t.best_v1[t.idx3(d1, m1, j)] = best_arg;
+        if constexpr (kPruned) scanner.begin_row(m1, cert->row_ok(m1));
       }
-      // E_mem(d1, j): contiguous scan over the gathered E_verif column.
-      double best = std::numeric_limits<double>::infinity();
+      // E_verif(d1, m1, j) for all m1 in [d1, j), kRows rows per scan,
+      // written to plane row j.
+      double* out = plane + j * stride;
+      for (std::size_t m0 = d1; m0 < j; m0 += kRows) {
+        const std::size_t rows = std::min(kRows, j - m0);
+        double best[kRows];
+        std::int32_t best_arg[kRows];
+        std::fill(best, best + rows, kInf);
+        std::fill(best_arg, best_arg + rows, std::int32_t{-1});
+        if constexpr (kPruned) {
+          std::size_t start[kRows];
+          std::size_t lo = j;
+          for (std::size_t r = 0; r < rows; ++r) {
+            start[r] = scanner.window(m0 + r, j);
+            lo = std::min(lo, start[r]);
+          }
+          scan(d1, m0, rows, lo, j, emem_row, plane, stride, best, best_arg);
+          for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t m1 = m0 + r;
+            if (!scanner.settle(m1, j, start[r], best[r], best_arg[r])) {
+              best[r] = kInf;
+              best_arg[r] = -1;
+              scan(d1, m1, 1, m1, j, emem_row, plane, stride, best + r,
+                   best_arg + r);
+              scanner.settle(m1, j, m1, best[r], best_arg[r]);
+            }
+          }
+        } else {
+          scan(d1, m0, rows, m0, j, emem_row, plane, stride, best, best_arg);
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::size_t m1 = m0 + r;
+          out[m1] = best[r];
+          if (keep_values) t.everif[t.idx3(d1, m1, j)] = best[r];
+          t.best_v1[t.idx3(d1, m1, j)] = best_arg[r];
+        }
+      }
+      // E_mem(d1, j): contiguous scan over plane row j, in place.
+      double best = kInf;
       std::int32_t best_arg = -1;
-      K::sum(emem_row, column, d1, j, best, best_arg);
+      K::sum(emem_row, out, d1, j, best, best_arg);
       t.emem[t.idx2(d1, j)] = best + costs.c_mem_after(j);
       t.best_m1[t.idx2(d1, j)] = best_arg;
     }
@@ -325,9 +381,9 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
 /// ctx.simd_tier() and pass the matching facade explicitly -- the tier
 /// must be supported (DpContext clamps) and every tier is bitwise
 /// identical.
-template <typename K, typename ColumnScanner>
+template <typename K, typename RowBlockScanner>
 void run_level_dp(const DpContext& ctx, LevelTables& t,
-                  const ColumnScanner& scan,
+                  const RowBlockScanner& scan,
                   ScanStats* scan_stats = nullptr) {
   if (ctx.scan_mode() == ScanMode::kMonotonePruned) {
     run_level_dp_impl<true, K>(ctx, t, scan, scan_stats);

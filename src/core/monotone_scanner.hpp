@@ -98,11 +98,13 @@ struct ScanStats {
 /// sharing a d1) or one streamed single-level row.  Not thread-safe; each
 /// worker owns its scanner and merges stats() out at slab end.
 ///
-/// The scan kernel is injected per step as a callable
+/// Per-row drivers (ADV*'s streamed rows) inject the scan kernel per
+/// step() as a callable
 ///   scan(lo, hi, best, best_arg)
 /// that folds the candidates for v1 in [lo, hi) into (best, best_arg)
-/// with the strict-less leftmost-argmin rule, exactly like the dense
-/// ColumnScanner contract (see core/level_dp.hpp).
+/// with the strict-less leftmost-argmin rule.  The level engine
+/// (core/level_dp.hpp) scans a block of rows per kernel call instead and
+/// drives each row through window() / settle() directly.
 class MonotoneScanner {
  public:
   explicit MonotoneScanner(std::size_t n) : rows_(n + 1) {}
@@ -127,37 +129,65 @@ class MonotoneScanner {
   /// the safeguards documented above.  begin_row(m1, ...) must have run,
   /// and steps of a row must arrive with strictly increasing j.
   ///
-  /// The boundary guard is folded into the window: the scan starts one
-  /// cell LEFT of the previous argmin, and because the kernel applies the
-  /// leftmost strict-less rule, the argmin landing on that boundary cell
-  /// is exactly the "ties or beats everything to its right" condition --
-  /// the signal that the argmin moved left and the step must rescan
-  /// densely.  Folding matters for performance, not just elegance: the
-  /// kernel is invoked from a single call site, so the heavy fused DP
-  /// loops are inlined once per instantiation (three call sites
-  /// measurably deoptimized the ADMV inner solver).
+  /// The step is the two halves below around one scan: window() opens
+  /// it, settle() checks the boundary guard and closes it, and a guard
+  /// hit rescans densely.  The kernel is invoked from a single call site,
+  /// so the heavy fused DP loops are inlined once per instantiation
+  /// (three call sites measurably deoptimized the ADMV inner solver).
   template <typename ScanFn>
   void step(std::size_t m1, std::size_t j, ScanFn&& scan, double& best,
             std::int32_t& best_arg) {
-    RowState& row = rows_[m1];
-    ++stats_.steps;
-    stats_.dense_cells += j - m1;
-    std::size_t start = m1;
-    if (row.windowed && row.last_arg >= 0 &&
-        static_cast<std::size_t>(row.last_arg) > m1) {
-      start = static_cast<std::size_t>(row.last_arg) - 1;
-      ++stats_.guard_checks;
-    }
+    std::size_t start = window(m1, j);
     for (;;) {
       best = std::numeric_limits<double>::infinity();
       best_arg = -1;
       scan(start, j, best, best_arg);
-      stats_.cells_scanned += j - start;
-      if (start == m1 || static_cast<std::size_t>(best_arg) != start) break;
-      // The boundary cell won (or tied leftmost): monotonicity violated
-      // for this step; redo it densely and keep the exact dense result.
-      ++stats_.guard_fallbacks;
+      if (settle(m1, j, start, best, best_arg)) break;
       start = m1;
+    }
+  }
+
+  /// First half of a step: charges it and returns the start of row m1's
+  /// window for right endpoint j.  The boundary guard is folded into the
+  /// window: it starts one cell LEFT of the previous argmin, so under the
+  /// leftmost strict-less rule an argmin landing on that boundary cell is
+  /// exactly the "ties or beats everything to its right" condition -- the
+  /// signal that the argmin moved left.
+  std::size_t window(std::size_t m1, std::size_t j) {
+    const RowState& row = rows_[m1];
+    ++stats_.steps;
+    stats_.dense_cells += j - m1;
+    if (row.windowed && row.last_arg >= 0 &&
+        static_cast<std::size_t>(row.last_arg) > m1) {
+      ++stats_.guard_checks;
+      return static_cast<std::size_t>(row.last_arg) - 1;
+    }
+    return m1;
+  }
+
+  /// Second half: takes the fold of [start, j) -- or of any wider range
+  /// [s, j) with m1 <= s <= start, as a row-block scan that shares one
+  /// range across rows delivers -- where start is what window() returned.
+  /// Charges the window's j - start cells whatever range was folded.
+  /// Returns false when the boundary guard fires (the argmin is at or
+  /// left of `start`, start > m1): the caller must rescan [m1, j) densely
+  /// and settle(m1, j, m1, ...) that result, which always returns true.
+  /// Otherwise it runs the value-order check and records the step.
+  ///
+  /// Folding a wider range keeps every result and counter of the exact
+  /// window wherever the window was right: an argmin right of `start`
+  /// over [s, j) is also the argmin over [start, j), and an argmin at or
+  /// left of `start` is rescanned either way.
+  bool settle(std::size_t m1, std::size_t j, std::size_t start, double best,
+              std::int32_t best_arg) {
+    RowState& row = rows_[m1];
+    stats_.cells_scanned += j - start;
+    if (start > m1 && best_arg >= 0 &&
+        static_cast<std::size_t>(best_arg) <= start) {
+      // The boundary cell won (or tied leftmost), or a cell left of it
+      // did: monotonicity violated for this step.
+      ++stats_.guard_fallbacks;
+      return false;
     }
     if (row.windowed && best < row.last_value) {
       // Row values stopped being non-decreasing: void the monotonicity
@@ -167,6 +197,7 @@ class MonotoneScanner {
     }
     row.last_value = best;
     row.last_arg = best_arg;
+    return true;
   }
 
   const ScanStats& stats() const noexcept { return stats_; }

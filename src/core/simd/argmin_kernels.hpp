@@ -1,12 +1,18 @@
 // Vectorized argmin primitives for the level-DP inner scans.
 //
-// Three fold shapes cover every SIMD-able scan of the engine (the ADMV
+// Four fold shapes cover every SIMD-able scan of the engine (the ADMV
 // partial inner solver is excluded by design -- each of its candidates is
 // a full O(len^2) DP, not a stream element):
 //
-//   argmin_affine -- the fused Eq. (4) v1 scan of dp_two_level /
-//     dp_single_level:  cand[v1] = ev + (exvg + b*k1 + c*ev + d*k2)
-//     with ev = everif_row[v1], folded with min+index.
+//   argmin_affine -- the fused Eq. (4) v1 scan of dp_single_level:
+//     cand[v1] = ev + (exvg + b*k1 + c*ev + d*k2) with ev = everif_row[v1],
+//     folded with min+index.
+//   argmin_affine_rows -- the same Eq. (4) fold for a block of up to 8
+//     consecutive rows m1 of dp_two_level at once, lanes over rows: ev is
+//     read from the level engine's v1-major plane (one contiguous load per
+//     v1), exvg/b/c/d are broadcast per v1, and k1/k2 are per-row.  Each
+//     lane keeps its own strict-less leftmost argmin; lanes whose row has
+//     not started yet (m1 > v1) are masked out.
 //   argmin_sum    -- the E_mem m1 chain and the E_disk d2 pass:
 //     cand[i] = a[i] + c[i], folded with min+index.
 //   fold_min_update -- the streamed single-level E_disk fold:
@@ -39,6 +45,9 @@
 
 namespace chainckpt::core::simd {
 
+/// Rows per affine_rows call: one AVX-512 vector of doubles.
+inline constexpr std::size_t kRowBlock = 8;
+
 namespace detail {
 
 /// Whether the per-ISA translation units were built with real intrinsics
@@ -51,6 +60,13 @@ void argmin_affine_avx2(const double* ev_row, const double* exvg,
                         const double* b, const double* c, const double* d,
                         double k1, double k2, std::size_t lo, std::size_t hi,
                         double& best, std::int32_t& best_arg) noexcept;
+void argmin_affine_rows_avx2(const double* ev_cols, std::size_t stride,
+                             const double* exvg, const double* b,
+                             const double* c, const double* d,
+                             const double* k1, const double* k2,
+                             std::size_t first_row, std::size_t rows,
+                             std::size_t lo, std::size_t hi, double* best,
+                             std::int32_t* best_arg) noexcept;
 void argmin_sum_avx2(const double* a, const double* c, std::size_t lo,
                      std::size_t hi, double& best,
                      std::int32_t& best_arg) noexcept;
@@ -63,6 +79,13 @@ void argmin_affine_avx512(const double* ev_row, const double* exvg,
                           double k1, double k2, std::size_t lo,
                           std::size_t hi, double& best,
                           std::int32_t& best_arg) noexcept;
+void argmin_affine_rows_avx512(const double* ev_cols, std::size_t stride,
+                               const double* exvg, const double* b,
+                               const double* c, const double* d,
+                               const double* k1, const double* k2,
+                               std::size_t first_row, std::size_t rows,
+                               std::size_t lo, std::size_t hi, double* best,
+                               std::int32_t* best_arg) noexcept;
 void argmin_sum_avx512(const double* a, const double* c, std::size_t lo,
                        std::size_t hi, double& best,
                        std::int32_t& best_arg) noexcept;
@@ -90,6 +113,34 @@ struct ScalarKernels {
       if (candidate < best) {
         best = candidate;
         best_arg = static_cast<std::int32_t>(v1);
+      }
+    }
+  }
+
+  /// Row-block fold: lane r (row first_row + r, r < rows <= kRowBlock)
+  /// folds
+  /// ev = ev_cols[v1 * stride + r] for v1 in [max(lo, first_row + r), hi)
+  /// into (best[r], best_arg[r]) with per-row k1[r], k2[r].  Requires
+  /// lo >= first_row.  Every lane is exactly the per-row affine() fold.
+  static inline void affine_rows(const double* ev_cols, std::size_t stride,
+                                 const double* exvg, const double* b,
+                                 const double* c, const double* d,
+                                 const double* k1, const double* k2,
+                                 std::size_t first_row, std::size_t rows,
+                                 std::size_t lo, std::size_t hi, double* best,
+                                 std::int32_t* best_arg) {
+    for (std::size_t v1 = lo; v1 < hi; ++v1) {
+      const double* ev_v1 = ev_cols + v1 * stride;
+      const std::size_t active =
+          v1 - first_row < rows ? v1 - first_row + 1 : rows;
+      for (std::size_t r = 0; r < active; ++r) {
+        const double ev = ev_v1[r];
+        const double candidate =
+            ev + (exvg[v1] + b[v1] * k1[r] + c[v1] * ev + d[v1] * k2[r]);
+        if (candidate < best[r]) {
+          best[r] = candidate;
+          best_arg[r] = static_cast<std::int32_t>(v1);
+        }
       }
     }
   }
@@ -129,6 +180,16 @@ struct Avx2Kernels {
     detail::argmin_affine_avx2(ev_row, exvg, b, c, d, k1, k2, lo, hi, best,
                                best_arg);
   }
+  static inline void affine_rows(const double* ev_cols, std::size_t stride,
+                                 const double* exvg, const double* b,
+                                 const double* c, const double* d,
+                                 const double* k1, const double* k2,
+                                 std::size_t first_row, std::size_t rows,
+                                 std::size_t lo, std::size_t hi, double* best,
+                                 std::int32_t* best_arg) {
+    detail::argmin_affine_rows_avx2(ev_cols, stride, exvg, b, c, d, k1, k2,
+                                    first_row, rows, lo, hi, best, best_arg);
+  }
   static inline void sum(const double* a, const double* c, std::size_t lo,
                          std::size_t hi, double& best,
                          std::int32_t& best_arg) {
@@ -150,6 +211,17 @@ struct Avx512Kernels {
                             std::int32_t& best_arg) {
     detail::argmin_affine_avx512(ev_row, exvg, b, c, d, k1, k2, lo, hi,
                                  best, best_arg);
+  }
+  static inline void affine_rows(const double* ev_cols, std::size_t stride,
+                                 const double* exvg, const double* b,
+                                 const double* c, const double* d,
+                                 const double* k1, const double* k2,
+                                 std::size_t first_row, std::size_t rows,
+                                 std::size_t lo, std::size_t hi, double* best,
+                                 std::int32_t* best_arg) {
+    detail::argmin_affine_rows_avx512(ev_cols, stride, exvg, b, c, d, k1, k2,
+                                      first_row, rows, lo, hi, best,
+                                      best_arg);
   }
   static inline void sum(const double* a, const double* c, std::size_t lo,
                          std::size_t hi, double& best,

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -83,6 +84,15 @@ struct SubmitOptions {
   /// objective is within (1 + epsilon) of the sound lower bound (see
   /// docs/CACHING.md).
   double cache_epsilon = -1.0;
+
+  /// Test hook: when >= 0, arms the job's cancel token with
+  /// core::CancelToken::trip_after_polls(trip_polls, on_trip) at submit,
+  /// so a test can act at an exact checkpoint poll of the job's first
+  /// run -- e.g. submit a displacing job from on_trip, which preempts
+  /// this one at that very poll, with no timing involved.  An empty
+  /// on_trip cancels the job there.  -1 (the default) disables.
+  std::int64_t trip_polls = -1;
+  std::function<void()> on_trip;
 };
 
 /// One submission: the work itself (algorithm + chain + cost model, the

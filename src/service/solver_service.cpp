@@ -156,6 +156,10 @@ SolverService::~SolverService() { shutdown(); }
 JobHandle SolverService::submit(JobRequest request) {
   auto record = std::make_shared<detail::JobRecord>(std::move(request.work));
   record->options = request.options;
+  if (record->options.trip_polls >= 0) {
+    record->token.trip_after_polls(record->options.trip_polls,
+                                   record->options.on_trip);
+  }
   // Per-submission plan-cache tolerance rides on the BatchJob; negative
   // defers to the solver's BatchOptions::plan_cache_epsilon.
   record->work.cache_epsilon = request.options.cache_epsilon;

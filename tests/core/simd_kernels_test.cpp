@@ -9,9 +9,11 @@
 // faked: the dispatch tests pin that clamping instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -260,6 +262,296 @@ TEST(SimdKernels, FoldMatchesScalarIncludingTies) {
       EXPECT_EQ(want_best, got_best) << simd::tier_name(tier);
       EXPECT_EQ(want_arg, got_arg) << simd::tier_name(tier);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Row-block kernel: affine_rows on every tier against a per-row scalar
+// reference (ScalarKernels::affine on each row gathered out of the
+// v1-major plane), bit for bit -- signed zeros included.
+
+/// One affine_rows call: plane[v1 * stride + m1] = E_verif(m1, v1) for
+/// rows m1 in [first_row, first_row + rows), scanned over v1 in
+/// [max(lo, m1), hi).  Cells no live lane may read hold a poison value
+/// that would win every comparison, so a masking slip shows up.
+struct RowsCase {
+  std::size_t stride = 0;
+  std::size_t first_row = 0;
+  std::size_t rows = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::vector<double> plane, exvg, b, c, d;
+  double k1[simd::kRowBlock] = {};
+  double k2[simd::kRowBlock] = {};
+  double seed[simd::kRowBlock] = {};
+  std::int32_t seed_arg[simd::kRowBlock] = {};
+};
+
+constexpr double kPoison = -1e300;
+
+/// Lane results plus the untouched tail past `rows` (sentinels).
+struct RowsResult {
+  double best[simd::kRowBlock];
+  std::int32_t arg[simd::kRowBlock];
+};
+
+RowsResult run_rows(SimdTier tier, const RowsCase& k) {
+  RowsResult r;
+  for (std::size_t l = 0; l < simd::kRowBlock; ++l) {
+    r.best[l] = l < k.rows ? k.seed[l] : 42.0;
+    r.arg[l] = l < k.rows ? k.seed_arg[l] : 4242;
+  }
+  const double* ev_cols = k.plane.data() + k.first_row;
+  switch (tier) {
+    case SimdTier::kAvx512:
+      simd::Avx512Kernels::affine_rows(
+          ev_cols, k.stride, k.exvg.data(), k.b.data(), k.c.data(),
+          k.d.data(), k.k1, k.k2, k.first_row, k.rows, k.lo, k.hi, r.best,
+          r.arg);
+      break;
+    case SimdTier::kAvx2:
+      simd::Avx2Kernels::affine_rows(
+          ev_cols, k.stride, k.exvg.data(), k.b.data(), k.c.data(),
+          k.d.data(), k.k1, k.k2, k.first_row, k.rows, k.lo, k.hi, r.best,
+          r.arg);
+      break;
+    default:
+      simd::ScalarKernels::affine_rows(
+          ev_cols, k.stride, k.exvg.data(), k.b.data(), k.c.data(),
+          k.d.data(), k.k1, k.k2, k.first_row, k.rows, k.lo, k.hi, r.best,
+          r.arg);
+      break;
+  }
+  return r;
+}
+
+/// The per-row reference: each lane is the scalar affine() fold of its
+/// own gathered row.
+RowsResult reference_rows(const RowsCase& k) {
+  RowsResult r;
+  std::vector<double> row(k.stride);
+  for (std::size_t l = 0; l < simd::kRowBlock; ++l) {
+    r.best[l] = 42.0;
+    r.arg[l] = 4242;
+    if (l >= k.rows) continue;
+    const std::size_t m1 = k.first_row + l;
+    for (std::size_t v1 = m1; v1 < k.stride; ++v1) {
+      row[v1] = k.plane[v1 * k.stride + m1];
+    }
+    r.best[l] = k.seed[l];
+    r.arg[l] = k.seed_arg[l];
+    simd::ScalarKernels::affine(row.data(), k.exvg.data(), k.b.data(),
+                                k.c.data(), k.d.data(), k.k1[l], k.k2[l],
+                                std::max(k.lo, m1), k.hi, r.best[l],
+                                r.arg[l]);
+  }
+  return r;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+void expect_rows_match(const RowsCase& k, const std::string& label) {
+  const RowsResult want = reference_rows(k);
+  for (SimdTier tier : supported_tiers()) {
+    const RowsResult got = run_rows(tier, k);
+    for (std::size_t l = 0; l < simd::kRowBlock; ++l) {
+      EXPECT_EQ(bits_of(want.best[l]), bits_of(got.best[l]))
+          << label << " @" << simd::tier_name(tier) << " lane " << l
+          << ": " << want.best[l] << " vs " << got.best[l];
+      EXPECT_EQ(want.arg[l], got.arg[l])
+          << label << " @" << simd::tier_name(tier) << " lane " << l;
+    }
+  }
+}
+
+/// A case over a (size x size) plane with the row block at first_row;
+/// cells left of each row's diagonal and columns of other rows are
+/// poisoned.
+RowsCase make_rows_case(std::size_t size, std::size_t first_row,
+                        std::size_t rows, std::size_t lo, std::size_t hi) {
+  RowsCase k;
+  k.stride = size;
+  k.first_row = first_row;
+  k.rows = rows;
+  k.lo = lo;
+  k.hi = hi;
+  k.plane.assign(size * size, kPoison);
+  k.exvg.assign(size, 0.0);
+  k.b.assign(size, 0.0);
+  k.c.assign(size, 0.0);
+  k.d.assign(size, 0.0);
+  for (std::size_t l = 0; l < simd::kRowBlock; ++l) {
+    k.seed[l] = std::numeric_limits<double>::infinity();
+    k.seed_arg[l] = -1;
+  }
+  return k;
+}
+
+/// Fills the live cells (v1 >= m1) of the block's rows.
+template <typename Gen>
+void fill_live(RowsCase& k, Gen&& gen) {
+  for (std::size_t r = 0; r < k.rows; ++r) {
+    const std::size_t m1 = k.first_row + r;
+    for (std::size_t v1 = m1; v1 < k.stride; ++v1) {
+      k.plane[v1 * k.stride + m1] = gen();
+    }
+  }
+}
+
+TEST(SimdKernels, AffineRowsMatchesPerRowScalarOnRandomWindows) {
+  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x54);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t size = 2 + rng() % 90;
+    const std::size_t rows = 1 + rng() % simd::kRowBlock;
+    const std::size_t first_row = rng() % (size - 1);
+    // Mostly engine-shaped (every row has started by hi - 1), sometimes
+    // with rows that start at or past hi and so keep their seeds.
+    const std::size_t min_hi =
+        trial % 5 == 0 ? first_row + 1
+                       : std::min(size, first_row + rows);
+    const std::size_t hi = min_hi + rng() % (size - min_hi + 1);
+    // Windows that start on the block's first row cross the diagonal.
+    const std::size_t lo =
+        trial % 3 == 0 ? first_row : first_row + rng() % (hi - first_row);
+    RowsCase k = make_rows_case(size, first_row, rows, lo, hi);
+    const bool ties = trial % 2 == 0;
+    if (ties) {
+      static constexpr double kLevels[] = {0.25, 0.5, 1.0};
+      fill_live(k, [&rng] { return kLevels[rng() % 3]; });
+      fill_tie_dense(rng, k.exvg);
+      fill_tie_dense(rng, k.b);
+      fill_tie_dense(rng, k.c);
+      fill_tie_dense(rng, k.d);
+      for (std::size_t l = 0; l < rows; ++l) {
+        k.k1[l] = l % 2 == 0 ? 2.0 : 0.5;
+        k.k2[l] = 0.5;
+      }
+    } else {
+      fill_live(k, [&] { return 1e4 * unit(); });
+      fill_random(rng, k.exvg, 1e4);
+      fill_random(rng, k.b, 2.0);
+      fill_random(rng, k.c, 2.0);
+      fill_random(rng, k.d, 2.0);
+      for (std::size_t l = 0; l < rows; ++l) {
+        k.k1[l] = 1e3 * unit();
+        k.k2[l] = 1e2 * unit();
+      }
+    }
+    // Seeds: sometimes below every candidate, sometimes mid-range.
+    for (std::size_t l = 0; l < rows; ++l) {
+      if (trial % 4 == 1) {
+        k.seed[l] = ties ? 1.5 : 1e4 * unit();
+        k.seed_arg[l] = -7;
+      }
+    }
+    expect_rows_match(k, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SimdKernels, AffineRowsTiesResolveLeftmostAcrossAccumulators) {
+  // Every candidate of a row equal: each lane must report its first live
+  // v1, whichever of the four accumulators (v1 mod 4) saw it first.
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{5}, std::size_t{8}}) {
+    for (const std::size_t lo : {std::size_t{4}, std::size_t{6},
+                                 std::size_t{9}}) {
+      for (const std::size_t hi : {std::size_t{13}, std::size_t{14},
+                                   std::size_t{15}, std::size_t{40}}) {
+        RowsCase k = make_rows_case(41, 4, rows, lo, hi);
+        fill_live(k, [] { return 1.0; });
+        for (std::size_t l = 0; l < rows; ++l) k.k1[l] = 3.0;
+        std::fill(k.b.begin(), k.b.end(), 1.0);
+        const std::string label = "rows " + std::to_string(rows) + " lo " +
+                                  std::to_string(lo) + " hi " +
+                                  std::to_string(hi);
+        expect_rows_match(k, label);
+        for (SimdTier tier : supported_tiers()) {
+          const RowsResult got = run_rows(tier, k);
+          for (std::size_t l = 0; l < rows; ++l) {
+            EXPECT_EQ(got.best[l], 4.0) << label;
+            EXPECT_EQ(got.arg[l],
+                      static_cast<std::int32_t>(std::max(lo, 4 + l)))
+                << label << " @" << simd::tier_name(tier) << " lane " << l;
+          }
+        }
+        // A seed equal to the minimum is never displaced.
+        for (std::size_t l = 0; l < rows; ++l) {
+          k.seed[l] = 4.0;
+          k.seed_arg[l] = -9;
+        }
+        for (SimdTier tier : supported_tiers()) {
+          const RowsResult got = run_rows(tier, k);
+          for (std::size_t l = 0; l < rows; ++l) {
+            EXPECT_EQ(got.arg[l], -9) << label << " @" << simd::tier_name(tier);
+          }
+        }
+      }
+    }
+  }
+  // A later accumulator holding the lane's unique minimum, then a tie
+  // for it further right in another accumulator: the earlier index wins.
+  RowsCase k = make_rows_case(32, 0, 8, 0, 32);
+  fill_live(k, [] { return 5.0; });
+  for (std::size_t l = 0; l < 8; ++l) {
+    const std::size_t first = 9 + l;   // v1 mod 4 varies with the lane
+    const std::size_t second = 23 - l;  // a tie further right
+    k.plane[first * k.stride + l] = 1.0;
+    k.plane[second * k.stride + l] = 1.0;
+  }
+  expect_rows_match(k, "planted ties");
+  for (SimdTier tier : supported_tiers()) {
+    const RowsResult got = run_rows(tier, k);
+    for (std::size_t l = 0; l < 8; ++l) {
+      EXPECT_EQ(got.arg[l], static_cast<std::int32_t>(9 + l))
+          << simd::tier_name(tier);
+    }
+  }
+}
+
+TEST(SimdKernels, AffineRowsSignedZerosInfinitiesAndNaNs) {
+  // Candidates drawn so that +0, -0, +inf and NaN all occur (and tie):
+  // NaN never wins a strict-less compare, an infinite candidate never
+  // displaces the +inf start, and among +0 / -0 the leftmost keeps its
+  // own sign.
+  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x55);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double ev_levels[] = {0.0, -0.0, 1.0, inf, nan, -0.0};
+  const double coef_levels[] = {0.0, -0.0, 1.0, 0.0};
+  const double k_levels[] = {-1.0, 0.0, 1.0};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t size = 4 + rng() % 40;
+    const std::size_t rows = 1 + rng() % simd::kRowBlock;
+    const std::size_t first_row = rng() % (size - 1);
+    const std::size_t hi = std::min(size, first_row + rows) +
+                           rng() % (size - std::min(size, first_row + rows) + 1);
+    const std::size_t lo = first_row + rng() % (hi - first_row);
+    RowsCase k = make_rows_case(size, first_row, rows, lo, hi);
+    fill_live(k, [&] { return ev_levels[rng() % 6]; });
+    for (std::size_t v = 0; v < size; ++v) {
+      k.exvg[v] = ev_levels[rng() % 6];
+      k.b[v] = coef_levels[rng() % 4];
+      k.c[v] = coef_levels[rng() % 4];
+      k.d[v] = coef_levels[rng() % 4];
+    }
+    for (std::size_t l = 0; l < rows; ++l) {
+      k.k1[l] = k_levels[rng() % 3];
+      k.k2[l] = k_levels[rng() % 3];
+      if (trial % 3 == 1) {
+        // Seeds of either zero sign: only a strictly smaller (negative
+        // finite is impossible here) candidate may displace them.
+        k.seed[l] = l % 2 == 0 ? 0.0 : -0.0;
+        k.seed_arg[l] = -5;
+      }
+    }
+    expect_rows_match(k, "trial " + std::to_string(trial));
   }
 }
 

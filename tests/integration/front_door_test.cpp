@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <ctime>
+#include <cstdint>
+#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chain/patterns.hpp"
@@ -150,42 +150,47 @@ TEST(FrontDoor, WireSolveRunsThePrunedScanByDefault) {
 TEST(FrontDoor, PreemptedServiceJobResumesItsPrunedCheckpoint) {
   // The preemption recipe of SolverService.PreemptionLetsUrgentDeadline
   // JumpAndVictimResumes, victim size included: a one-worker pool, a batch
-  // ADMV* victim, and an urgent job submitted once the victim has done
-  // half the work of an identical reference solve (measured in process
-  // CPU time, so a loaded host does not move the preemption point).
+  // ADMV* victim, and an urgent job submitted from the victim's own
+  // checkpoint poll 3/4 of the way through its n(n+1)/2 per-step polls --
+  // past the first slab commits and before the solve can finish, on any
+  // machine.
   const platform::CostModel costs{platform::hera()};
+  const std::size_t n = 200;
   const core::BatchJob victim_work{Algorithm::kADMVstar,
-                                   chain::make_uniform(350, 25000.0), costs};
-  const std::clock_t reference_start = std::clock();
-  core::BatchSolver reference;
-  reference.solve_job(victim_work);
-  const std::clock_t reference_cpu = std::clock() - reference_start;
+                                   chain::make_uniform(n, 25000.0), costs};
+  const core::BatchJob urgent_work{Algorithm::kADVstar,
+                                   chain::make_uniform(50, 25000.0), costs};
 
   service::ServiceOptions options;
   options.workers = 1;
   service::SolverService svc(options);
-  const service::JobHandle victim =
-      svc.submit({victim_work, {service::Priority::kBatch}});
-  for (int i = 0;
-       i < 2000 && svc.poll(victim).state == service::JobState::kQueued;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(svc.poll(victim).state, service::JobState::kRunning);
-  const std::clock_t victim_start = std::clock();
-  while (std::clock() - victim_start < reference_cpu / 2 &&
-         svc.poll(victim).state == service::JobState::kRunning) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const core::BatchJob urgent_work{Algorithm::kADVstar,
-                                   chain::make_uniform(50, 25000.0), costs};
-  const service::JobHandle urgent = svc.submit(
-      {urgent_work, {service::Priority::kUrgent, std::chrono::seconds(60)}});
-  const service::JobStatus urgent_status = svc.wait(urgent);
+  std::promise<service::JobHandle> victim_submitted;
+  const std::shared_future<service::JobHandle> victim_handle =
+      victim_submitted.get_future().share();
+  service::JobState victim_state_at_trip = service::JobState::kQueued;
+  std::promise<service::JobHandle> urgent_submitted;
+  service::SubmitOptions victim_options{service::Priority::kBatch};
+  victim_options.trip_polls =
+      static_cast<std::int64_t>(n * (n + 1) / 2) * 3 / 4;
+  victim_options.on_trip = [&] {
+    victim_state_at_trip = svc.poll(victim_handle.get()).state;
+    urgent_submitted.set_value(svc.submit(
+        {urgent_work,
+         {service::Priority::kUrgent, std::chrono::seconds(60)}}));
+  };
+  const service::JobHandle victim = svc.submit({victim_work, victim_options});
+  victim_submitted.set_value(victim);
+  const service::JobStatus victim_status = svc.wait(victim);
+  std::future<service::JobHandle> urgent_future =
+      urgent_submitted.get_future();
+  ASSERT_EQ(urgent_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the victim's solve never reached its trip poll";
+  ASSERT_EQ(victim_state_at_trip, service::JobState::kRunning);
+  const service::JobStatus urgent_status = svc.wait(urgent_future.get());
   ASSERT_EQ(urgent_status.state, service::JobState::kSucceeded);
   expect_default_scan(urgent_status.result, urgent_work, "urgent job");
 
-  const service::JobStatus victim_status = svc.wait(victim);
   ASSERT_EQ(victim_status.state, service::JobState::kSucceeded);
   EXPECT_GE(victim_status.preemptions, 1u);
   const service::ServiceStats stats = svc.stats();

@@ -4,7 +4,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <ctime>
+#include <future>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -356,48 +356,46 @@ TEST(SolverService, PriorityOrderingDispatchesHigherClassFirst) {
 
 TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
   const platform::CostModel costs{platform::hera()};
-  // n = 350: at 250 the pruned default scan (ADMV*'s shipped mode) left
-  // so little work past the halfway point that under a loaded host the
-  // victim could finish before the urgent submit landed.
+  const std::size_t n = 200;
   const core::BatchJob victim_work{core::Algorithm::kADMVstar,
-                                   chain::make_uniform(350, 25000.0), costs};
-  // Measure an identical solve first, run the way the service runs the
-  // victim: a workers = 1 pool is a count-1 parallel_for, which runs its
-  // body outside any parallel region, so the victim's slab wave fans out
-  // over every core -- exactly like this direct call.  The measure is
-  // process CPU time, i.e. work done, so a loaded host that stretches
-  // wall time does not move the preemption point below.  Half the
-  // solve's work lands mid-solve: the first slabs commit at about a
-  // fifth of it (table setup plus the tallest slabs), and the last slab
-  // finishes at all of it.
+                                   chain::make_uniform(n, 25000.0), costs};
   core::BatchSolver reference;
-  const std::clock_t reference_start = std::clock();
   const auto expected = reference.solve_job(victim_work);
-  const std::clock_t reference_cpu = std::clock() - reference_start;
 
   ServiceOptions options;
   options.workers = 1;
   SolverService service(options);
-  const JobHandle victim = service.submit(
-      {victim_work, {Priority::kBatch}});
-  for (int i = 0; i < 2000 && service.poll(victim).state == JobState::kQueued;
-       ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  ASSERT_EQ(service.poll(victim).state, JobState::kRunning);
-  const std::clock_t victim_start = std::clock();
-  while (std::clock() - victim_start < reference_cpu / 2 &&
-         service.poll(victim).state == JobState::kRunning) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  // The urgent class is uncalibrated, so its deadline counts as at-risk
-  // and the dispatcher displaces the running batch job.
-  const JobHandle urgent = service.submit(
-      {{core::Algorithm::kADVstar, chain::make_uniform(50, 25000.0), costs},
-       {Priority::kUrgent, std::chrono::seconds(60)}});
-  const JobStatus urgent_status = service.wait(urgent);
-  EXPECT_EQ(urgent_status.state, JobState::kSucceeded);
+  // The urgent job is submitted from inside the victim's own solve, at
+  // its checkpoint poll 3/4 of the way through the n(n+1)/2 per-step
+  // polls: every slab worker holds at most one open slab of <= n polls,
+  // so slabs have certainly committed, and the victim cannot have
+  // finished.  The urgent class is uncalibrated, so its deadline counts
+  // as at-risk and the dispatcher displaces the running batch job -- the
+  // same poll then unwinds it.  No clock or machine speed is involved.
+  std::promise<JobHandle> victim_submitted;
+  const std::shared_future<JobHandle> victim_handle =
+      victim_submitted.get_future().share();
+  JobState victim_state_at_trip = JobState::kQueued;
+  std::promise<JobHandle> urgent_submitted;
+  SubmitOptions victim_options{Priority::kBatch};
+  victim_options.trip_polls =
+      static_cast<std::int64_t>(n * (n + 1) / 2) * 3 / 4;
+  victim_options.on_trip = [&] {
+    victim_state_at_trip = service.poll(victim_handle.get()).state;
+    urgent_submitted.set_value(service.submit(
+        {{core::Algorithm::kADVstar, chain::make_uniform(50, 25000.0), costs},
+         {Priority::kUrgent, std::chrono::seconds(60)}}));
+  };
+  const JobHandle victim = service.submit({victim_work, victim_options});
+  victim_submitted.set_value(victim);
   const JobStatus victim_status = service.wait(victim);
+  std::future<JobHandle> urgent_future = urgent_submitted.get_future();
+  ASSERT_EQ(urgent_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready)
+      << "the victim's solve never reached its trip poll";
+  ASSERT_EQ(victim_state_at_trip, JobState::kRunning);
+  const JobStatus urgent_status = service.wait(urgent_future.get());
+  EXPECT_EQ(urgent_status.state, JobState::kSucceeded);
   ASSERT_EQ(victim_status.state, JobState::kSucceeded);
   EXPECT_GE(victim_status.preemptions, 1u);
   EXPECT_EQ(victim_status.starts, victim_status.preemptions + 1);
