@@ -5,14 +5,15 @@
 // guaranteed verifications.  Obtained from the Section III-A dynamic
 // program by pinning m1 = d1 (no interior memory checkpoints); silent
 // errors roll back to the memory copy co-located with the last disk
-// checkpoint.  O(n^3) time; the E_verif slabs are STREAMED, so peak DP
+// checkpoint.  O(n^3) time; the E_verif slabs are STREAMED in groups of
+// simd::kRowBlock rows on ADMV*'s Eq. (4) row-block kernel, so peak DP
 // memory is a block of O(n) rows plus the O(n) E_disk arrays rather than
 // the dense (n+1)^2 value/argmin tables (see dp_single_level.cpp).
 //
 // AD (classical Toueg-Babaoglu-style baseline, extension): additionally
 // forbids interior verifications, so silent errors are only caught by the
 // guaranteed verification bundled with each checkpoint.  O(n^2) time,
-// same streamed memory profile.
+// same streamed groups and memory profile.
 #pragma once
 
 #include "core/dp_context.hpp"

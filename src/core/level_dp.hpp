@@ -188,13 +188,12 @@ auto gathered_rows(const RowScanner& scan) {
 /// the engine seeds +inf / -1.  plane[v1 * stride + m1] holds
 /// E_verif(d1, m1, v1) for m1 <= v1 < j, emem_row[m1] = E_mem(d1, m1);
 /// lo >= first_row.  The dense formulation passes lo = first_row, so
-/// every row scans [m1, j).  ScanMode::kMonotonePruned opens each row's
-/// window through core::MonotoneScanner, scans the block once from the
-/// smallest window start, and lets MonotoneScanner::settle() send any
-/// row whose argmin is at or left of its own window start back to a
-/// dense one-row rescan -- keeping the result bit-identical to the dense
-/// scan wherever the window is right.  It must be safe to call
-/// concurrently for different d1.  ADMV*'s scanner is one
+/// every row scans [m1, j).  ScanMode::kMonotonePruned takes the step
+/// through MonotoneScanner::step_rows(): it scans the block once from the
+/// smallest window start and sends the rows whose argmin is at or left of
+/// their own window start back to a dense rescan -- keeping the result
+/// bit-identical to the dense scan wherever the window is right.  It must
+/// be safe to call concurrently for different d1.  ADMV*'s scanner is one
 /// K::affine_rows call; a per-row scanner (ADMV) adapts through
 /// gathered_rows().
 ///
@@ -295,27 +294,17 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
         const std::size_t rows = std::min(kRows, j - m0);
         double best[kRows];
         std::int32_t best_arg[kRows];
-        std::fill(best, best + rows, kInf);
-        std::fill(best_arg, best_arg + rows, std::int32_t{-1});
         if constexpr (kPruned) {
-          std::size_t start[kRows];
-          std::size_t lo = j;
-          for (std::size_t r = 0; r < rows; ++r) {
-            start[r] = scanner.window(m0 + r, j);
-            lo = std::min(lo, start[r]);
-          }
-          scan(d1, m0, rows, lo, j, emem_row, plane, stride, best, best_arg);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t m1 = m0 + r;
-            if (!scanner.settle(m1, j, start[r], best[r], best_arg[r])) {
-              best[r] = kInf;
-              best_arg[r] = -1;
-              scan(d1, m1, 1, m1, j, emem_row, plane, stride, best + r,
-                   best_arg + r);
-              scanner.settle(m1, j, m1, best[r], best_arg[r]);
-            }
-          }
+          scanner.step_rows(
+              m0, rows, j,
+              [&](std::size_t first, std::size_t count, std::size_t lo,
+                  double* b, std::int32_t* a) {
+                scan(d1, first, count, lo, j, emem_row, plane, stride, b, a);
+              },
+              best, best_arg);
         } else {
+          std::fill(best, best + rows, kInf);
+          std::fill(best_arg, best_arg + rows, std::int32_t{-1});
           scan(d1, m0, rows, m0, j, emem_row, plane, stride, best, best_arg);
         }
         for (std::size_t r = 0; r < rows; ++r) {

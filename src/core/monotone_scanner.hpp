@@ -37,10 +37,13 @@
 // candidate matrices in tests/core/monotone_scanner_test.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "core/simd/argmin_kernels.hpp"
 
 namespace chainckpt::core {
 
@@ -95,16 +98,13 @@ struct ScanStats {
 };
 
 /// Drives the windowed scans of one slab (a set of rows m1 in [d1, n]
-/// sharing a d1) or one streamed single-level row.  Not thread-safe; each
-/// worker owns its scanner and merges stats() out at slab end.
+/// sharing a d1) or of one group of ADV*'s streamed rows.  Not
+/// thread-safe; each worker owns its scanner and merges stats() out at
+/// slab or group end.
 ///
-/// Per-row drivers (ADV*'s streamed rows) inject the scan kernel per
-/// step() as a callable
-///   scan(lo, hi, best, best_arg)
-/// that folds the candidates for v1 in [lo, hi) into (best, best_arg)
-/// with the strict-less leftmost-argmin rule.  The level engine
-/// (core/level_dp.hpp) scans a block of rows per kernel call instead and
-/// drives each row through window() / settle() directly.
+/// Both drivers take their steps through step_rows(), which scans a
+/// block of up to simd::kRowBlock rows per kernel call and drives each
+/// row through the window() / settle() halves below.
 class MonotoneScanner {
  public:
   explicit MonotoneScanner(std::size_t n) : rows_(n + 1) {}
@@ -124,26 +124,61 @@ class MonotoneScanner {
     }
   }
 
-  /// One scan step: leftmost strict-less argmin over v1 in [m1, j) for
-  /// the current right endpoint j, bit-identical to the dense scan under
-  /// the safeguards documented above.  begin_row(m1, ...) must have run,
-  /// and steps of a row must arrive with strictly increasing j.
+  /// One scan step of the rows m1 = first_row + r, r < rows <=
+  /// simd::kRowBlock, at right endpoint j: for each row, the leftmost
+  /// strict-less argmin over v1 in [m1, j) into best[r] / best_arg[r],
+  /// bit-identical to the dense scan under the safeguards documented
+  /// above.  begin_row() must have run for every row, and steps of a row
+  /// must arrive with strictly increasing j.
   ///
-  /// The step is the two halves below around one scan: window() opens
-  /// it, settle() checks the boundary guard and closes it, and a guard
-  /// hit rescans densely.  The kernel is invoked from a single call site,
-  /// so the heavy fused DP loops are inlined once per instantiation
-  /// (three call sites measurably deoptimized the ADMV inner solver).
-  template <typename ScanFn>
-  void step(std::size_t m1, std::size_t j, ScanFn&& scan, double& best,
-            std::int32_t& best_arg) {
-    std::size_t start = window(m1, j);
-    for (;;) {
-      best = std::numeric_limits<double>::infinity();
-      best_arg = -1;
-      scan(start, j, best, best_arg);
-      if (settle(m1, j, start, best, best_arg)) break;
-      start = m1;
+  /// `scan(first, count, lo, best, best_arg)` folds, for each row
+  /// m1 = first + i (i < count), the candidates v1 in [max(lo, m1), j)
+  /// into best[i] / best_arg[i] with the strict-less leftmost-argmin rule
+  /// (both seeded +inf / -1 here).  The step opens every row's window(),
+  /// scans the block once from the smallest window start, and settle()s
+  /// each row.  Rows whose guard fires are rescanned densely by one more
+  /// call over the span of rows from the first to the last fired one,
+  /// scan(m0, span, m0, ...); a lane of a row that did not fire is
+  /// discarded, so every row keeps the result settle() accepted.
+  template <typename BlockScan>
+  void step_rows(std::size_t first_row, std::size_t rows, std::size_t j,
+                 const BlockScan& scan, double* best,
+                 std::int32_t* best_arg) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::size_t start[simd::kRowBlock];
+    std::size_t lo = j;
+    for (std::size_t r = 0; r < rows; ++r) {
+      start[r] = window(first_row + r, j);
+      lo = std::min(lo, start[r]);
+      best[r] = kInf;
+      best_arg[r] = -1;
+    }
+    scan(first_row, rows, lo, best, best_arg);
+    bool fired[simd::kRowBlock];
+    std::size_t first_fired = rows;
+    std::size_t last_fired = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      fired[r] = !settle(first_row + r, j, start[r], best[r], best_arg[r]);
+      if (fired[r]) {
+        first_fired = std::min(first_fired, r);
+        last_fired = r;
+      }
+    }
+    if (first_fired == rows) return;
+    // One dense rescan covers every fired row: each lane of the span
+    // [first_fired, last_fired] folds its whole row [m1, j).
+    const std::size_t span = last_fired - first_fired + 1;
+    double dense[simd::kRowBlock];
+    std::int32_t dense_arg[simd::kRowBlock];
+    std::fill(dense, dense + span, kInf);
+    std::fill(dense_arg, dense_arg + span, std::int32_t{-1});
+    const std::size_t m0 = first_row + first_fired;
+    scan(m0, span, m0, dense, dense_arg);
+    for (std::size_t r = first_fired; r <= last_fired; ++r) {
+      if (!fired[r]) continue;
+      best[r] = dense[r - first_fired];
+      best_arg[r] = dense_arg[r - first_fired];
+      settle(first_row + r, j, first_row + r, best[r], best_arg[r]);
     }
   }
 
@@ -166,8 +201,8 @@ class MonotoneScanner {
   }
 
   /// Second half: takes the fold of [start, j) -- or of any wider range
-  /// [s, j) with m1 <= s <= start, as a row-block scan that shares one
-  /// range across rows delivers -- where start is what window() returned.
+  /// [s, j) with m1 <= s <= start, as step_rows()'s shared block range
+  /// delivers -- where start is what window() returned.
   /// Charges the window's j - start cells whatever range was folded.
   /// Returns false when the boundary guard fires (the argmin is at or
   /// left of `start`, start > m1): the caller must rescan [m1, j) densely

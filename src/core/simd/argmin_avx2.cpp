@@ -54,51 +54,6 @@ inline void merge_lanes(__m256d vbest, __m256i vidx, double& best,
   }
 }
 
-}  // namespace
-
-void argmin_affine_avx2(const double* ev_row, const double* exvg,
-                        const double* b, const double* c, const double* d,
-                        double k1, double k2, std::size_t lo, std::size_t hi,
-                        double& best, std::int32_t& best_arg) noexcept {
-  std::size_t v1 = lo;
-  if (hi - lo >= 8) {
-    const __m256d vk1 = _mm256_set1_pd(k1);
-    const __m256d vk2 = _mm256_set1_pd(k2);
-    __m256d vbest = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-    __m256i vidx = _mm256_set1_epi64x(-1);
-    __m256i cur = _mm256_setr_epi64x(
-        static_cast<long long>(lo), static_cast<long long>(lo + 1),
-        static_cast<long long>(lo + 2), static_cast<long long>(lo + 3));
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (; v1 + 4 <= hi; v1 += 4) {
-      const __m256d ev = _mm256_loadu_pd(ev_row + v1);
-      // ((exvg + b*k1) + c*ev) + d*k2, then ev + ... -- the scalar order.
-      __m256d t = _mm256_add_pd(_mm256_loadu_pd(exvg + v1),
-                                _mm256_mul_pd(_mm256_loadu_pd(b + v1), vk1));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(c + v1), ev));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(d + v1), vk2));
-      const __m256d cand = _mm256_add_pd(ev, t);
-      const __m256d lt = _mm256_cmp_pd(cand, vbest, _CMP_LT_OQ);
-      vbest = _mm256_blendv_pd(vbest, cand, lt);
-      vidx = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(vidx), _mm256_castsi256_pd(cur), lt));
-      cur = _mm256_add_epi64(cur, step);
-    }
-    merge_lanes(vbest, vidx, best, best_arg);
-  }
-  for (; v1 < hi; ++v1) {
-    const double ev = ev_row[v1];
-    const double candidate =
-        ev + (exvg[v1] + b[v1] * k1 + c[v1] * ev + d[v1] * k2);
-    if (candidate < best) {
-      best = candidate;
-      best_arg = static_cast<std::int32_t>(v1);
-    }
-  }
-}
-
-namespace {
-
 /// One lane-wise (value, first-index) accumulator of the row-block fold.
 struct RowAcc {
   __m256d val;
@@ -278,13 +233,6 @@ void fold_min_update_avx2(const double* row, double base, std::int32_t arg,
 
 bool avx2_kernels_compiled() noexcept { return false; }
 
-void argmin_affine_avx2(const double* ev_row, const double* exvg,
-                        const double* b, const double* c, const double* d,
-                        double k1, double k2, std::size_t lo, std::size_t hi,
-                        double& best, std::int32_t& best_arg) noexcept {
-  ScalarKernels::affine(ev_row, exvg, b, c, d, k1, k2, lo, hi, best,
-                        best_arg);
-}
 void argmin_affine_rows_avx2(const double* ev_cols, std::size_t stride,
                              const double* exvg, const double* b,
                              const double* c, const double* d,

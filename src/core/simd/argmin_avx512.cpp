@@ -52,51 +52,6 @@ inline void merge_lanes(__m512d vbest, __m512i vidx, double& best,
   }
 }
 
-}  // namespace
-
-void argmin_affine_avx512(const double* ev_row, const double* exvg,
-                          const double* b, const double* c, const double* d,
-                          double k1, double k2, std::size_t lo,
-                          std::size_t hi, double& best,
-                          std::int32_t& best_arg) noexcept {
-  std::size_t v1 = lo;
-  if (hi - lo >= 16) {
-    const __m512d vk1 = _mm512_set1_pd(k1);
-    const __m512d vk2 = _mm512_set1_pd(k2);
-    __m512d vbest = _mm512_set1_pd(std::numeric_limits<double>::infinity());
-    __m512i vidx = _mm512_set1_epi64(-1);
-    __m512i cur = _mm512_add_epi64(
-        _mm512_set1_epi64(static_cast<long long>(lo)),
-        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-    const __m512i step = _mm512_set1_epi64(8);
-    for (; v1 + 8 <= hi; v1 += 8) {
-      const __m512d ev = _mm512_loadu_pd(ev_row + v1);
-      // ((exvg + b*k1) + c*ev) + d*k2, then ev + ... -- the scalar order.
-      __m512d t = _mm512_add_pd(_mm512_loadu_pd(exvg + v1),
-                                _mm512_mul_pd(_mm512_loadu_pd(b + v1), vk1));
-      t = _mm512_add_pd(t, _mm512_mul_pd(_mm512_loadu_pd(c + v1), ev));
-      t = _mm512_add_pd(t, _mm512_mul_pd(_mm512_loadu_pd(d + v1), vk2));
-      const __m512d cand = _mm512_add_pd(ev, t);
-      const __mmask8 lt = _mm512_cmp_pd_mask(cand, vbest, _CMP_LT_OQ);
-      vbest = _mm512_mask_blend_pd(lt, vbest, cand);
-      vidx = _mm512_mask_blend_epi64(lt, vidx, cur);
-      cur = _mm512_add_epi64(cur, step);
-    }
-    merge_lanes(vbest, vidx, best, best_arg);
-  }
-  for (; v1 < hi; ++v1) {
-    const double ev = ev_row[v1];
-    const double candidate =
-        ev + (exvg[v1] + b[v1] * k1 + c[v1] * ev + d[v1] * k2);
-    if (candidate < best) {
-      best = candidate;
-      best_arg = static_cast<std::int32_t>(v1);
-    }
-  }
-}
-
-namespace {
-
 /// One lane-wise (value, first-index) accumulator of the row-block fold.
 struct RowAcc {
   __m512d val;
@@ -240,14 +195,6 @@ void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
 
 bool avx512_kernels_compiled() noexcept { return false; }
 
-void argmin_affine_avx512(const double* ev_row, const double* exvg,
-                          const double* b, const double* c, const double* d,
-                          double k1, double k2, std::size_t lo,
-                          std::size_t hi, double& best,
-                          std::int32_t& best_arg) noexcept {
-  ScalarKernels::affine(ev_row, exvg, b, c, d, k1, k2, lo, hi, best,
-                        best_arg);
-}
 void argmin_affine_rows_avx512(const double* ev_cols, std::size_t stride,
                                const double* exvg, const double* b,
                                const double* c, const double* d,

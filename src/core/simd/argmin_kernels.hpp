@@ -1,18 +1,18 @@
 // Vectorized argmin primitives for the level-DP inner scans.
 //
-// Four fold shapes cover every SIMD-able scan of the engine (the ADMV
+// Three fold shapes cover every SIMD-able scan of the engine (the ADMV
 // partial inner solver is excluded by design -- each of its candidates is
 // a full O(len^2) DP, not a stream element):
 //
-//   argmin_affine -- the fused Eq. (4) v1 scan of dp_single_level:
-//     cand[v1] = ev + (exvg + b*k1 + c*ev + d*k2) with ev = everif_row[v1],
-//     folded with min+index.
-//   argmin_affine_rows -- the same Eq. (4) fold for a block of up to 8
-//     consecutive rows m1 of dp_two_level at once, lanes over rows: ev is
-//     read from the level engine's v1-major plane (one contiguous load per
-//     v1), exvg/b/c/d are broadcast per v1, and k1/k2 are per-row.  Each
-//     lane keeps its own strict-less leftmost argmin; lanes whose row has
-//     not started yet (m1 > v1) are masked out.
+//   argmin_affine_rows -- the fused Eq. (4) v1 fold for a block of up to
+//     8 rows at once, lanes over rows:
+//     cand = ev + (exvg + b*k1 + c*ev + d*k2), folded with min+index.
+//     ev is read from a v1-major buffer (one contiguous load per v1):
+//     dp_two_level's slab plane, or dp_single_level's group of 8
+//     consecutive d1 rows.  exvg/b/c/d are broadcast per v1, and k1/k2
+//     are per-row.  Each lane keeps its own strict-less leftmost argmin;
+//     lanes whose row has not started yet (first_row + r > v1) are masked
+//     out.
 //   argmin_sum    -- the E_mem m1 chain and the E_disk d2 pass:
 //     cand[i] = a[i] + c[i], folded with min+index.
 //   fold_min_update -- the streamed single-level E_disk fold:
@@ -56,10 +56,6 @@ namespace detail {
 bool avx2_kernels_compiled() noexcept;
 bool avx512_kernels_compiled() noexcept;
 
-void argmin_affine_avx2(const double* ev_row, const double* exvg,
-                        const double* b, const double* c, const double* d,
-                        double k1, double k2, std::size_t lo, std::size_t hi,
-                        double& best, std::int32_t& best_arg) noexcept;
 void argmin_affine_rows_avx2(const double* ev_cols, std::size_t stride,
                              const double* exvg, const double* b,
                              const double* c, const double* d,
@@ -74,11 +70,6 @@ void fold_min_update_avx2(const double* row, double base, std::int32_t arg,
                           double* run_best, std::int32_t* run_arg,
                           std::size_t lo, std::size_t hi) noexcept;
 
-void argmin_affine_avx512(const double* ev_row, const double* exvg,
-                          const double* b, const double* c, const double* d,
-                          double k1, double k2, std::size_t lo,
-                          std::size_t hi, double& best,
-                          std::int32_t& best_arg) noexcept;
 void argmin_affine_rows_avx512(const double* ev_cols, std::size_t stride,
                                const double* exvg, const double* b,
                                const double* c, const double* d,
@@ -101,27 +92,12 @@ void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
 /// codegen (single call site, trivially inlined) and (b) the vector tiers
 /// have an in-crate oracle to be bit-compared against.
 struct ScalarKernels {
-  static inline void affine(const double* ev_row, const double* exvg,
-                            const double* b, const double* c,
-                            const double* d, double k1, double k2,
-                            std::size_t lo, std::size_t hi, double& best,
-                            std::int32_t& best_arg) {
-    for (std::size_t v1 = lo; v1 < hi; ++v1) {
-      const double ev = ev_row[v1];
-      const double candidate =
-          ev + (exvg[v1] + b[v1] * k1 + c[v1] * ev + d[v1] * k2);
-      if (candidate < best) {
-        best = candidate;
-        best_arg = static_cast<std::int32_t>(v1);
-      }
-    }
-  }
-
   /// Row-block fold: lane r (row first_row + r, r < rows <= kRowBlock)
   /// folds
   /// ev = ev_cols[v1 * stride + r] for v1 in [max(lo, first_row + r), hi)
   /// into (best[r], best_arg[r]) with per-row k1[r], k2[r].  Requires
-  /// lo >= first_row.  Every lane is exactly the per-row affine() fold.
+  /// lo >= first_row.  Lane r folds exactly like the one-row call
+  /// (ev_cols + r, k1 + r, k2 + r, first_row + r, rows = 1).
   static inline void affine_rows(const double* ev_cols, std::size_t stride,
                                  const double* exvg, const double* b,
                                  const double* c, const double* d,
@@ -172,14 +148,6 @@ struct ScalarKernels {
 
 /// 4-lane AVX2 kernels (out-of-line; see argmin_avx2.cpp).
 struct Avx2Kernels {
-  static inline void affine(const double* ev_row, const double* exvg,
-                            const double* b, const double* c,
-                            const double* d, double k1, double k2,
-                            std::size_t lo, std::size_t hi, double& best,
-                            std::int32_t& best_arg) {
-    detail::argmin_affine_avx2(ev_row, exvg, b, c, d, k1, k2, lo, hi, best,
-                               best_arg);
-  }
   static inline void affine_rows(const double* ev_cols, std::size_t stride,
                                  const double* exvg, const double* b,
                                  const double* c, const double* d,
@@ -204,14 +172,6 @@ struct Avx2Kernels {
 
 /// 8-lane AVX-512F/VL kernels (out-of-line; see argmin_avx512.cpp).
 struct Avx512Kernels {
-  static inline void affine(const double* ev_row, const double* exvg,
-                            const double* b, const double* c,
-                            const double* d, double k1, double k2,
-                            std::size_t lo, std::size_t hi, double& best,
-                            std::int32_t& best_arg) {
-    detail::argmin_affine_avx512(ev_row, exvg, b, c, d, k1, k2, lo, hi,
-                                 best, best_arg);
-  }
   static inline void affine_rows(const double* ev_cols, std::size_t stride,
                                  const double* exvg, const double* b,
                                  const double* c, const double* d,

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/monotone_scanner.hpp"
@@ -36,8 +37,8 @@ StepResult dense_reference(const std::vector<double>& row) {
   return r;
 }
 
-/// Runs the scanner over the whole matrix (one row, m1 = 0) and returns
-/// the per-step results.
+/// Runs the scanner over the whole matrix as a block of one row (m1 = 0)
+/// through step_rows() and returns the per-step results.
 std::vector<StepResult> run_scanner(MonotoneScanner& scanner,
                                     const Matrix& cand, bool qi_ok) {
   scanner.begin_row(0, qi_ok);
@@ -46,25 +47,27 @@ std::vector<StepResult> run_scanner(MonotoneScanner& scanner,
     const std::vector<double>& row = cand[j - 1];
     EXPECT_EQ(row.size(), j) << "malformed test matrix";
     StepResult r;
-    scanner.step(
-        0, j,
-        [&](std::size_t lo, std::size_t hi, double& best,
-            std::int32_t& arg) {
-          for (std::size_t v = lo; v < hi; ++v) {
-            if (row[v] < best) {
-              best = row[v];
-              arg = static_cast<std::int32_t>(v);
+    scanner.step_rows(
+        0, 1, j,
+        [&](std::size_t first, std::size_t count, std::size_t lo,
+            double* best, std::int32_t* arg) {
+          EXPECT_EQ(first, 0u);
+          EXPECT_EQ(count, 1u);
+          for (std::size_t v = lo; v < j; ++v) {
+            if (row[v] < *best) {
+              *best = row[v];
+              *arg = static_cast<std::int32_t>(v);
             }
           }
         },
-        r.best, r.arg);
+        &r.best, &r.arg);
     results.push_back(r);
   }
   return results;
 }
 
-/// Runs the same single row through the window() / settle() halves the
-/// way the level engine's row-block scan does: the fold covers [s, j)
+/// Runs the same single row through the window() / settle() halves by
+/// hand, as step_rows() drives a row of a block: the fold covers [s, j)
 /// for some s between m1 and the row's own window start -- `widest`
 /// picks s = m1, the widest range a block can hand a row -- and a fired
 /// guard is answered with a dense [m1, j) rescan.
@@ -252,10 +255,10 @@ TEST(MonotoneScanner, GuardIsAdjacentOnlyByDesign) {
 }
 
 TEST(MonotoneScanner, WindowSettleHalvesMatchStepCounters) {
-  // The level engine drives window() / settle() around a row-block scan
-  // whose range may start left of a row's window.  Wherever the window
-  // is right, results and all eight counters equal step()'s -- for the
-  // exact window and for the widest range alike.
+  // step_rows() drives window() / settle() around a row-block scan whose
+  // range may start left of a row's window.  Wherever the window is
+  // right, results and all eight counters equal a one-row step_rows()'s
+  // -- for the exact window and for the widest range alike.
   struct Case {
     const char* name;
     Matrix cand;
@@ -291,7 +294,7 @@ TEST(MonotoneScanner, BlockRangeCatchesWinnerLeftOfOneRowsWindow) {
   // QI-gated, so its window -- and the block's range -- always starts at
   // 0.  Row 1 carries distant_dip() shifted one cell right: at its last
   // step its own window starts at 2, its dense winner is cell 1, and a
-  // window-only scan would return cell 4 (the escape step() documents).
+  // window-only scan would return cell 4 (the escape GuardIsAdjacentOnlyByDesign pins).
   // The block range reaches cell 1, so the winner lands left of row 1's
   // window start, the guard fires, and the row gets its dense result.
   const Matrix dip = distant_dip();
@@ -340,6 +343,102 @@ TEST(MonotoneScanner, BlockRangeCatchesWinnerLeftOfOneRowsWindow) {
   EXPECT_EQ(last.arg, 1);  // the dense winner, not the escape's cell 4
   EXPECT_EQ(scanner.stats().guard_fallbacks, 1u);
   EXPECT_EQ(scanner.stats().gated_rows, 1u);
+
+  // step_rows() takes the same steps: both rows in one block call, then
+  // the dense rescan of row 1.
+  MonotoneScanner block(n);
+  StepResult block_last;
+  for (std::size_t j = 1; j <= n; ++j) {
+    if (j <= 2) block.begin_row(j - 1, /*qi_ok=*/j == 2);
+    const std::size_t rows = std::min<std::size_t>(2, j);
+    StepResult res[2];
+    double best[2];
+    std::int32_t arg[2];
+    block.step_rows(
+        0, rows, j,
+        [&](std::size_t first, std::size_t count, std::size_t lo, double* b,
+            std::int32_t* a) {
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t r = first + i;
+            for (std::size_t v = std::max(lo, r); v < j; ++v) {
+              if (value(r, j, v) < b[i]) {
+                b[i] = value(r, j, v);
+                a[i] = static_cast<std::int32_t>(v);
+              }
+            }
+          }
+        },
+        best, arg);
+    for (std::size_t r = 0; r < rows; ++r) res[r] = {best[r], arg[r]};
+    if (rows == 2) block_last = res[1];
+  }
+  EXPECT_EQ(block_last.best, last.best);
+  EXPECT_EQ(block_last.arg, last.arg);
+  expect_same_stats(scanner.stats(), block.stats(), "step_rows block");
+}
+
+TEST(MonotoneScanner, StepRowsRescansOnlyFiredRowsOfASpan) {
+  // Three rows, scanned as one block: rows 0 and 2 regress one cell left
+  // of their previous argmin at the last step and fire the guard; row 1,
+  // between them, does not.  One rescan call covers the span 0..2, and
+  // row 1 keeps the windowed result settle() accepted.
+  const std::size_t n = 8;
+  const auto value = [](std::size_t r, std::size_t j, std::size_t v) {
+    const double target = r == 1 ? static_cast<double>(j) - 1.0
+                          : j < n ? static_cast<double>(j) - 1.0
+                                  : static_cast<double>(r);
+    const double x = static_cast<double>(v) - target;
+    return x * x;
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> calls;  // (first, count)
+  const auto fold = [&](std::size_t j) {
+    return [&value, &calls, j](std::size_t first, std::size_t count,
+                               std::size_t lo, double* b, std::int32_t* a) {
+      calls.emplace_back(first, count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t r = first + i;
+        for (std::size_t v = std::max(lo, r); v < j; ++v) {
+          if (value(r, j, v) < b[i]) {
+            b[i] = value(r, j, v);
+            a[i] = static_cast<std::int32_t>(v);
+          }
+        }
+      }
+    };
+  };
+  MonotoneScanner scanner(n);
+  StepResult final_rows[3];
+  for (std::size_t j = 1; j <= n; ++j) {
+    if (j <= 3) scanner.begin_row(j - 1, /*qi_ok=*/true);
+    const std::size_t rows = std::min<std::size_t>(3, j);
+    double best[3];
+    std::int32_t arg[3];
+    calls.clear();
+    scanner.step_rows(0, rows, j, fold(j), best, arg);
+    for (std::size_t r = 0; r < rows; ++r) final_rows[r] = {best[r], arg[r]};
+  }
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[1], std::make_pair(std::size_t{0}, std::size_t{3}));
+  EXPECT_EQ(final_rows[0].arg, 0);  // dense winners of the fired rows
+  EXPECT_EQ(final_rows[2].arg, 2);
+  EXPECT_EQ(final_rows[1].arg, 7);  // the windowed winner of row 1
+  EXPECT_EQ(scanner.stats().guard_fallbacks, 2u);
+
+  // Each row stepped alone gives the same results, and the three
+  // scanners' counters sum to the block's: row 1 is settled once per step.
+  ScanStats alone;
+  for (std::size_t r = 0; r < 3; ++r) {
+    MonotoneScanner one(n);
+    one.begin_row(r, /*qi_ok=*/true);
+    StepResult last;
+    for (std::size_t j = r + 1; j <= n; ++j) {
+      one.step_rows(r, 1, j, fold(j), &last.best, &last.arg);
+    }
+    EXPECT_EQ(last.best, final_rows[r].best) << "row " << r;
+    EXPECT_EQ(last.arg, final_rows[r].arg) << "row " << r;
+    alone += one.stats();
+  }
+  expect_same_stats(alone, scanner.stats(), "rows stepped alone");
 }
 
 }  // namespace

@@ -49,31 +49,6 @@ struct FoldResult {
   std::int32_t arg;
 };
 
-FoldResult run_affine(SimdTier tier, const std::vector<double>& ev,
-                      const std::vector<double>& exvg,
-                      const std::vector<double>& b,
-                      const std::vector<double>& c,
-                      const std::vector<double>& d, double k1, double k2,
-                      std::size_t lo, std::size_t hi, double seed_best,
-                      std::int32_t seed_arg) {
-  FoldResult r{seed_best, seed_arg};
-  switch (tier) {
-    case SimdTier::kAvx512:
-      simd::Avx512Kernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                  d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-    case SimdTier::kAvx2:
-      simd::Avx2Kernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-    default:
-      simd::ScalarKernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                  d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-  }
-  return r;
-}
-
 FoldResult run_sum(SimdTier tier, const std::vector<double>& a,
                    const std::vector<double>& c, std::size_t lo,
                    std::size_t hi, double seed_best, std::int32_t seed_arg) {
@@ -126,53 +101,6 @@ void fill_random(util::Xoshiro256& rng, std::vector<double>& out,
                  double scale) {
   for (double& v : out) {
     v = scale * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
-  }
-}
-
-TEST(SimdKernels, AffineMatchesScalarOnRandomAndTieDenseStreams) {
-  const auto tiers = supported_tiers();
-  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x51);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t len = 1 + rng() % 200;
-    std::vector<double> ev(len), exvg(len), b(len), c(len), d(len);
-    double k1;
-    double k2;
-    const bool ties = trial % 2 == 0;
-    if (ties) {
-      // Exact-tie regime: discrete coefficient levels, power-of-two
-      // multipliers, so distinct v1 produce identical candidates.
-      fill_tie_dense(rng, ev);
-      fill_tie_dense(rng, exvg);
-      fill_tie_dense(rng, b);
-      fill_tie_dense(rng, c);
-      fill_tie_dense(rng, d);
-      k1 = 2.0;
-      k2 = 0.5;
-    } else {
-      fill_random(rng, ev, 1e4);
-      fill_random(rng, exvg, 1e4);
-      fill_random(rng, b, 2.0);
-      fill_random(rng, c, 2.0);
-      fill_random(rng, d, 2.0);
-      k1 = 1e3 * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
-      k2 = 1e2 * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
-    }
-    const std::size_t lo = rng() % len;
-    const std::size_t hi = lo + rng() % (len - lo + 1);
-    // Seed sometimes already beats the window (the incoming-best rule).
-    const double seed =
-        trial % 3 == 0 ? 0.0 : std::numeric_limits<double>::infinity();
-    const FoldResult want =
-        run_affine(SimdTier::kScalar, ev, exvg, b, c, d, k1, k2, lo, hi,
-                   seed, -7);
-    for (SimdTier tier : tiers) {
-      const FoldResult got =
-          run_affine(tier, ev, exvg, b, c, d, k1, k2, lo, hi, seed, -7);
-      EXPECT_EQ(want.best, got.best)
-          << simd::tier_name(tier) << " trial " << trial;
-      EXPECT_EQ(want.arg, got.arg)
-          << simd::tier_name(tier) << " trial " << trial;
-    }
   }
 }
 
@@ -267,15 +195,23 @@ TEST(SimdKernels, FoldMatchesScalarIncludingTies) {
 
 // ---------------------------------------------------------------------
 // Row-block kernel: affine_rows on every tier against a per-row scalar
-// reference (ScalarKernels::affine on each row gathered out of the
-// v1-major plane), bit for bit -- signed zeros included.
+// reference (a plain Eq. (4) loop over each row), bit for bit -- signed
+// zeros included.
 
-/// One affine_rows call: plane[v1 * stride + m1] = E_verif(m1, v1) for
-/// rows m1 in [first_row, first_row + rows), scanned over v1 in
-/// [max(lo, m1), hi).  Cells no live lane may read hold a poison value
-/// that would win every comparison, so a masking slip shows up.
+/// One affine_rows call: lane l folds v1 in [max(lo, first_row + l), hi)
+/// of ev = plane[v1 * stride + lane0 + l].  Three buffer shapes occur:
+///   * the level engine's v1-major slab plane (stride = size, lane0 =
+///     first_row: column m1 holds row m1);
+///   * dp_single_level's group buffer (stride = kRowBlock, lane0 = 0:
+///     column r holds row first_row + r);
+///   * its one-row rescan of row r of a group (stride = kRowBlock,
+///     lane0 = r, rows = 1).
+/// Cells no live lane may read hold a poison value that would win every
+/// comparison, so a masking slip shows up.
 struct RowsCase {
+  std::size_t size = 0;
   std::size_t stride = 0;
+  std::size_t lane0 = 0;
   std::size_t first_row = 0;
   std::size_t rows = 0;
   std::size_t lo = 0;
@@ -285,6 +221,13 @@ struct RowsCase {
   double k2[simd::kRowBlock] = {};
   double seed[simd::kRowBlock] = {};
   std::int32_t seed_arg[simd::kRowBlock] = {};
+
+  double& cell(std::size_t v1, std::size_t lane) {
+    return plane[v1 * stride + lane0 + lane];
+  }
+  double cell(std::size_t v1, std::size_t lane) const {
+    return plane[v1 * stride + lane0 + lane];
+  }
 };
 
 constexpr double kPoison = -1e300;
@@ -301,7 +244,7 @@ RowsResult run_rows(SimdTier tier, const RowsCase& k) {
     r.best[l] = l < k.rows ? k.seed[l] : 42.0;
     r.arg[l] = l < k.rows ? k.seed_arg[l] : 4242;
   }
-  const double* ev_cols = k.plane.data() + k.first_row;
+  const double* ev_cols = k.plane.data() + k.lane0;
   switch (tier) {
     case SimdTier::kAvx512:
       simd::Avx512Kernels::affine_rows(
@@ -325,25 +268,26 @@ RowsResult run_rows(SimdTier tier, const RowsCase& k) {
   return r;
 }
 
-/// The per-row reference: each lane is the scalar affine() fold of its
-/// own gathered row.
+/// The per-row reference: each lane is a plain strict-less fold of the
+/// Eq. (4) candidate ev + (((exvg + b*k1) + c*ev) + d*k2) over its own
+/// row.
 RowsResult reference_rows(const RowsCase& k) {
   RowsResult r;
-  std::vector<double> row(k.stride);
   for (std::size_t l = 0; l < simd::kRowBlock; ++l) {
     r.best[l] = 42.0;
     r.arg[l] = 4242;
     if (l >= k.rows) continue;
-    const std::size_t m1 = k.first_row + l;
-    for (std::size_t v1 = m1; v1 < k.stride; ++v1) {
-      row[v1] = k.plane[v1 * k.stride + m1];
-    }
     r.best[l] = k.seed[l];
     r.arg[l] = k.seed_arg[l];
-    simd::ScalarKernels::affine(row.data(), k.exvg.data(), k.b.data(),
-                                k.c.data(), k.d.data(), k.k1[l], k.k2[l],
-                                std::max(k.lo, m1), k.hi, r.best[l],
-                                r.arg[l]);
+    for (std::size_t v1 = std::max(k.lo, k.first_row + l); v1 < k.hi; ++v1) {
+      const double ev = k.cell(v1, l);
+      const double candidate = ev + (k.exvg[v1] + k.b[v1] * k.k1[l] +
+                                     k.c[v1] * ev + k.d[v1] * k.k2[l]);
+      if (candidate < r.best[l]) {
+        r.best[l] = candidate;
+        r.arg[l] = static_cast<std::int32_t>(v1);
+      }
+    }
   }
   return r;
 }
@@ -368,18 +312,26 @@ void expect_rows_match(const RowsCase& k, const std::string& label) {
   }
 }
 
-/// A case over a (size x size) plane with the row block at first_row;
-/// cells left of each row's diagonal and columns of other rows are
-/// poisoned.
+/// The buffer shapes of RowsCase.
+enum class RowsShape { kPlane, kGroup, kGroupRescan };
+
+/// A case over v1 in [0, size) with every cell poisoned.  kPlane lays the
+/// block at columns first_row.. of a (size x size) plane; the group
+/// shapes lay it at column `lane` of a (size x kRowBlock) group buffer
+/// whose group starts at row first_row - lane.
 RowsCase make_rows_case(std::size_t size, std::size_t first_row,
-                        std::size_t rows, std::size_t lo, std::size_t hi) {
+                        std::size_t rows, std::size_t lo, std::size_t hi,
+                        RowsShape shape = RowsShape::kPlane,
+                        std::size_t lane = 0) {
   RowsCase k;
-  k.stride = size;
+  k.size = size;
+  k.stride = shape == RowsShape::kPlane ? size : simd::kRowBlock;
+  k.lane0 = shape == RowsShape::kPlane ? first_row : lane;
   k.first_row = first_row;
   k.rows = rows;
   k.lo = lo;
   k.hi = hi;
-  k.plane.assign(size * size, kPoison);
+  k.plane.assign(size * k.stride, kPoison);
   k.exvg.assign(size, 0.0);
   k.b.assign(size, 0.0);
   k.c.assign(size, 0.0);
@@ -395,9 +347,8 @@ RowsCase make_rows_case(std::size_t size, std::size_t first_row,
 template <typename Gen>
 void fill_live(RowsCase& k, Gen&& gen) {
   for (std::size_t r = 0; r < k.rows; ++r) {
-    const std::size_t m1 = k.first_row + r;
-    for (std::size_t v1 = m1; v1 < k.stride; ++v1) {
-      k.plane[v1 * k.stride + m1] = gen();
+    for (std::size_t v1 = k.first_row + r; v1 < k.size; ++v1) {
+      k.cell(v1, r) = gen();
     }
   }
 }
@@ -407,51 +358,62 @@ TEST(SimdKernels, AffineRowsMatchesPerRowScalarOnRandomWindows) {
   const auto unit = [&rng] {
     return static_cast<double>(rng() >> 11) * 0x1.0p-53;
   };
-  for (int trial = 0; trial < 400; ++trial) {
-    const std::size_t size = 2 + rng() % 90;
-    const std::size_t rows = 1 + rng() % simd::kRowBlock;
-    const std::size_t first_row = rng() % (size - 1);
-    // Mostly engine-shaped (every row has started by hi - 1), sometimes
-    // with rows that start at or past hi and so keep their seeds.
-    const std::size_t min_hi =
-        trial % 5 == 0 ? first_row + 1
-                       : std::min(size, first_row + rows);
-    const std::size_t hi = min_hi + rng() % (size - min_hi + 1);
-    // Windows that start on the block's first row cross the diagonal.
-    const std::size_t lo =
-        trial % 3 == 0 ? first_row : first_row + rng() % (hi - first_row);
-    RowsCase k = make_rows_case(size, first_row, rows, lo, hi);
-    const bool ties = trial % 2 == 0;
-    if (ties) {
-      static constexpr double kLevels[] = {0.25, 0.5, 1.0};
-      fill_live(k, [&rng] { return kLevels[rng() % 3]; });
-      fill_tie_dense(rng, k.exvg);
-      fill_tie_dense(rng, k.b);
-      fill_tie_dense(rng, k.c);
-      fill_tie_dense(rng, k.d);
+  for (const RowsShape shape :
+       {RowsShape::kPlane, RowsShape::kGroup, RowsShape::kGroupRescan}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::size_t size = 2 + rng() % 90;
+      std::size_t rows = 1 + rng() % simd::kRowBlock;
+      const std::size_t first_row = rng() % (size - 1);
+      // The one-row rescan of row `lane` of a group starting at
+      // first_row - lane.
+      std::size_t lane = 0;
+      if (shape == RowsShape::kGroupRescan) {
+        lane = std::min(rows - 1, first_row);
+        rows = 1;
+      }
+      // Mostly engine-shaped (every row has started by hi - 1), sometimes
+      // with rows that start at or past hi and so keep their seeds.
+      const std::size_t min_hi =
+          trial % 5 == 0 ? first_row + 1
+                         : std::min(size, first_row + rows);
+      const std::size_t hi = min_hi + rng() % (size - min_hi + 1);
+      // Windows that start on the block's first row cross the diagonal.
+      const std::size_t lo =
+          trial % 3 == 0 ? first_row : first_row + rng() % (hi - first_row);
+      RowsCase k = make_rows_case(size, first_row, rows, lo, hi, shape, lane);
+      const bool ties = trial % 2 == 0;
+      if (ties) {
+        static constexpr double kLevels[] = {0.25, 0.5, 1.0};
+        fill_live(k, [&rng] { return kLevels[rng() % 3]; });
+        fill_tie_dense(rng, k.exvg);
+        fill_tie_dense(rng, k.b);
+        fill_tie_dense(rng, k.c);
+        fill_tie_dense(rng, k.d);
+        for (std::size_t l = 0; l < rows; ++l) {
+          k.k1[l] = l % 2 == 0 ? 2.0 : 0.5;
+          k.k2[l] = 0.5;
+        }
+      } else {
+        fill_live(k, [&] { return 1e4 * unit(); });
+        fill_random(rng, k.exvg, 1e4);
+        fill_random(rng, k.b, 2.0);
+        fill_random(rng, k.c, 2.0);
+        fill_random(rng, k.d, 2.0);
+        for (std::size_t l = 0; l < rows; ++l) {
+          k.k1[l] = 1e3 * unit();
+          k.k2[l] = 1e2 * unit();
+        }
+      }
+      // Seeds: sometimes below every candidate, sometimes mid-range.
       for (std::size_t l = 0; l < rows; ++l) {
-        k.k1[l] = l % 2 == 0 ? 2.0 : 0.5;
-        k.k2[l] = 0.5;
+        if (trial % 4 == 1) {
+          k.seed[l] = ties ? 1.5 : 1e4 * unit();
+          k.seed_arg[l] = -7;
+        }
       }
-    } else {
-      fill_live(k, [&] { return 1e4 * unit(); });
-      fill_random(rng, k.exvg, 1e4);
-      fill_random(rng, k.b, 2.0);
-      fill_random(rng, k.c, 2.0);
-      fill_random(rng, k.d, 2.0);
-      for (std::size_t l = 0; l < rows; ++l) {
-        k.k1[l] = 1e3 * unit();
-        k.k2[l] = 1e2 * unit();
-      }
+      expect_rows_match(k, "shape " + std::to_string(static_cast<int>(shape)) +
+                               " trial " + std::to_string(trial));
     }
-    // Seeds: sometimes below every candidate, sometimes mid-range.
-    for (std::size_t l = 0; l < rows; ++l) {
-      if (trial % 4 == 1) {
-        k.seed[l] = ties ? 1.5 : 1e4 * unit();
-        k.seed_arg[l] = -7;
-      }
-    }
-    expect_rows_match(k, "trial " + std::to_string(trial));
   }
 }
 
@@ -502,8 +464,8 @@ TEST(SimdKernels, AffineRowsTiesResolveLeftmostAcrossAccumulators) {
   for (std::size_t l = 0; l < 8; ++l) {
     const std::size_t first = 9 + l;   // v1 mod 4 varies with the lane
     const std::size_t second = 23 - l;  // a tie further right
-    k.plane[first * k.stride + l] = 1.0;
-    k.plane[second * k.stride + l] = 1.0;
+    k.cell(first, l) = 1.0;
+    k.cell(second, l) = 1.0;
   }
   expect_rows_match(k, "planted ties");
   for (SimdTier tier : supported_tiers()) {
