@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   // 1. Configure the service: admission pricing with a concurrency
   //    budget, an LRU byte budget on the table cache, and a completion
   //    callback counting terminal jobs.  Left unset, the table budget is
-  //    core::kDefaultCacheBudgetBytes (one max_n table pair, ~46.5 MiB),
+  //    core::kDefaultCacheBudgetBytes (one max_n table entry, ~40.3 MiB),
   //    more than this small burst ever builds; the demo tightens it so
   //    eviction shows.
   service::ServiceOptions options;

@@ -75,7 +75,6 @@ class PlanEvaluator {
 
   const chain::TaskChain& chain() const noexcept { return chain_; }
   const platform::CostModel& costs() const noexcept { return costs_; }
-  const chain::WeightTable& weight_table() const noexcept { return table_; }
 
  private:
   template <typename Visitor>

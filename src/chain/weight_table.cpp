@@ -1,9 +1,6 @@
 #include "chain/weight_table.hpp"
 
-#include <cmath>
-
 #include "util/assert.hpp"
-#include "util/parallel.hpp"
 
 namespace chainckpt::chain {
 
@@ -15,22 +12,6 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
   prefix_.assign(n_ + 1, 0.0);
   for (std::size_t i = 1; i <= n_; ++i)
     prefix_[i] = prefix_[i - 1] + chain.weight(i);
-
-  em1_f_.resize(util::triangle_cells(n_));
-  em1_s_.resize(util::triangle_cells(n_));
-  // Blocks of rows on all workers; every cell has one writer and the same
-  // expression, so the tables are byte-identical at any thread count.
-  const std::size_t block = util::triangle_block(n_);
-  util::parallel_for_blocks(0, n_ + 1, block, [&](std::size_t lo,
-                                                  std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i; j <= n_; ++j) {
-        const double w = prefix_[j] - prefix_[i];
-        em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
-        em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
-      }
-    }
-  });
 }
 
 }  // namespace chainckpt::chain

@@ -1,23 +1,26 @@
-// Precomputed interval quantities for the dynamic programs.
+// Interval quantities of the paper's segment closed forms.
 //
-// Every DP transition evaluates exponentials of lambda * W_{i,j} where
-// lambda * W spans 1e-6..1e2.  Computing exp() inside the O(n^4)/O(n^6)
-// loops would dominate the runtime, so this table materializes the O(n^2)
-// triangular matrices once per (chain, rates) pair, each packed by row into
-// (n+1)(n+2)/2 cells (util/triangle.hpp).  The constructor is the one
-// build path: it writes every cell.
+// Eq. (4) and the Section III-B recursions need W_{i,j} and
+// e^{lambda W_{i,j}} for every interval (i, j].  This class holds only the
+// O(n) prefix sums and the two rates; each accessor evaluates its interval
+// on demand.  Nothing reads these values in a DP inner loop: the
+// analysis::SegmentTables build reads each interval once and stores the
+// derived coefficients the DPs consume, and the plan evaluator reads one
+// interval per verified segment of a plan.  A caller that scores many
+// plans through one evaluator (core::optimize_periodic) pays an expm1 per
+// read instead of a load; PERFORMANCE.md measures that trade.
 //
-// The stored quantity is expm1(lambda * W) rather than exp(lambda * W):
+// The exposed quantity is expm1(lambda * W) rather than exp(lambda * W):
 // the closed forms of the paper multiply (e^{lambda W} - 1) by recovery
-// costs, and subtracting 1 from a stored exponential would lose most
+// costs, and subtracting 1 from an exponential would lose most
 // significant bits precisely in the realistic small-rate regime.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "chain/chain.hpp"
-#include "util/triangle.hpp"
 
 namespace chainckpt::chain {
 
@@ -35,25 +38,25 @@ class WeightTable {
   }
   /// expm1(lambda_f * W_{i,j}) = e^{lambda_f W} - 1, full precision.
   double em1_f(std::size_t i, std::size_t j) const noexcept {
-    return em1_f_[idx(i, j)];
+    return std::expm1(lambda_f_ * weight(i, j));
   }
   /// expm1(lambda_s * W_{i,j}).
   double em1_s(std::size_t i, std::size_t j) const noexcept {
-    return em1_s_[idx(i, j)];
+    return std::expm1(lambda_s_ * weight(i, j));
   }
   /// e^{lambda_f * W_{i,j}}.
   double exp_f(std::size_t i, std::size_t j) const noexcept {
-    return 1.0 + em1_f_[idx(i, j)];
+    return 1.0 + em1_f(i, j);
   }
   /// e^{lambda_s * W_{i,j}}.
   double exp_s(std::size_t i, std::size_t j) const noexcept {
-    return 1.0 + em1_s_[idx(i, j)];
+    return 1.0 + em1_s(i, j);
   }
   /// expm1((lambda_f + lambda_s) * W_{i,j}), assembled without cancellation
   /// as em1_f + em1_s + em1_f * em1_s.
   double em1_fs(std::size_t i, std::size_t j) const noexcept {
-    const double a = em1_f_[idx(i, j)];
-    const double b = em1_s_[idx(i, j)];
+    const double a = em1_f(i, j);
+    const double b = em1_s(i, j);
     return a + b + a * b;
   }
   /// e^{(lambda_f + lambda_s) * W_{i,j}}.
@@ -61,29 +64,11 @@ class WeightTable {
     return 1.0 + em1_fs(i, j);
   }
 
-  /// Bytes held by the prefix sums and the two packed triangles
-  /// (BatchSolver cache accounting).
-  std::size_t resident_bytes() const noexcept {
-    return (prefix_.capacity() + em1_f_.capacity() + em1_s_.capacity()) *
-           sizeof(double);
-  }
-  /// resident_bytes() of a table over an n-task chain, known before it
-  /// is built (the default BatchSolver cache budget is sized from it).
-  static constexpr std::size_t resident_bytes_for(std::size_t n) noexcept {
-    return (n + 1 + 2 * util::triangle_cells(n)) * sizeof(double);
-  }
-
  private:
-  std::size_t idx(std::size_t i, std::size_t j) const noexcept {
-    return util::triangle_row(i, n_) + j;
-  }
-
   std::size_t n_;
   double lambda_f_;
   double lambda_s_;
   std::vector<double> prefix_;
-  util::TriangleStream em1_f_;
-  util::TriangleStream em1_s_;
 };
 
 }  // namespace chainckpt::chain

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "chain/weight_table.hpp"
 #include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -108,11 +109,10 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   const bool rows = needs_row_tables(job.algorithm);
   const SolveKey key = table_key(job.chain, job.costs);
 
-  // Acquire (building if necessary) the shared table pair.  References
-  // into the map survive rehashes; the loop re-looks the key up after
-  // every wait, so a concurrent eviction of the entry just causes a
-  // rebuild instead of a dangling pointer.
-  std::shared_ptr<const chain::WeightTable> table;
+  // Acquire (building if necessary) the shared tables.  References into
+  // the map survive rehashes; the loop re-looks the key up after every
+  // wait, so a concurrent eviction of the entry just causes a rebuild
+  // instead of a dangling pointer.
   std::shared_ptr<const analysis::SegmentTables> seg;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -121,7 +121,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       if (entry.seg != nullptr && (!rows || entry.seg->has_rows())) {
         entry.last_used = ++use_tick_;
         ++stats_.tables_reused;
-        table = entry.table;
         seg = entry.seg;
         break;
       }
@@ -130,21 +129,16 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
         continue;  // re-resolve: built, row-upgraded, or even evicted
       }
       entry.building = true;
-      // A rowless entry being row-upgraded keeps its WeightTable: the
-      // table depends only on key material, so rebuilding it would be
-      // pure duplicate work.  The SegmentTables rebuild from scratch with
-      // rows -- rows are a construction-time property.
-      std::shared_ptr<const chain::WeightTable> built_table = entry.table;
-      const bool upgrade = built_table != nullptr;
+      // A rowless entry being row-upgraded rebuilds from scratch with
+      // rows: rows are a construction-time property of SegmentTables.
+      const bool upgrade = entry.seg != nullptr;
       lock.unlock();
       std::shared_ptr<const analysis::SegmentTables> built_seg;
       try {
-        if (built_table == nullptr) {
-          built_table = std::make_shared<const chain::WeightTable>(
-              job.chain, job.costs.lambda_f(), job.costs.lambda_s());
-        }
         built_seg = std::make_shared<const analysis::SegmentTables>(
-            *built_table, job.costs, rows);
+            chain::WeightTable(job.chain, job.costs.lambda_f(),
+                               job.costs.lambda_s()),
+            job.costs, rows);
       } catch (...) {
         lock.lock();
         const auto it = cache_.find(key);
@@ -152,7 +146,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
           it->second.building = false;
           // A fresh entry that never got tables would otherwise linger
           // as an unevictable zero-byte zombie; a row-upgrade failure
-          // keeps the still-valid rowless pair.
+          // keeps the still-valid rowless tables.
           if (it->second.seg == nullptr) cache_.erase(it);
         }
         build_done_.notify_all();
@@ -165,7 +159,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       TableEntry& built = cache_.try_emplace(key).first->second;
       // An upgrade replaces the rowless SegmentTables it counted before.
       cache_bytes_ -= entry_bytes(built);
-      built.table = std::move(built_table);
       built.seg = std::move(built_seg);
       cache_bytes_ += entry_bytes(built);
       built.building = false;
@@ -173,7 +166,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       ++stats_.tables_built;
       if (upgrade) ++stats_.tables_patched;
       build_done_.notify_all();
-      table = built.table;
       seg = built.seg;
       break;
     }
@@ -202,8 +194,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
 
   // The solve itself runs outside the lock -- the shared_ptrs keep the
   // tables alive even if the entry is evicted mid-solve.
-  DpContext ctx(job.chain, job.costs, std::move(table), std::move(seg),
-                options_.max_n);
+  DpContext ctx(job.chain, job.costs, std::move(seg), options_.max_n);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
   OptimizationResult result;
@@ -348,10 +339,7 @@ BatchStats BatchSolver::stats() const {
 }
 
 std::size_t BatchSolver::entry_bytes(const TableEntry& entry) noexcept {
-  std::size_t bytes = 0;
-  if (entry.table != nullptr) bytes += entry.table->resident_bytes();
-  if (entry.seg != nullptr) bytes += entry.seg->resident_bytes();
-  return bytes;
+  return entry.seg != nullptr ? entry.seg->resident_bytes() : 0;
 }
 
 std::size_t BatchSolver::checkpoint_bytes_locked() const noexcept {

@@ -9,12 +9,12 @@
 //     dynamic scheduling, so heterogeneous chains load-balance across
 //     workers (an n = 400 ADMV* job does not serialize behind twenty
 //     n = 50 ones);
-//   * a coefficient-table cache: the O(n^2) analysis::SegmentTables +
-//     chain::WeightTable pair -- the dominant per-solve setup cost -- is
-//     built once per distinct (chain weights, cost model) key and shared
-//     by every job that matches, within a batch and across batches;
+//   * a coefficient-table cache: the O(n^2) analysis::SegmentTables --
+//     the dominant per-solve setup cost -- are built once per distinct
+//     (chain weights, cost model) key and shared by every job that
+//     matches, within a batch and across batches;
 //   * LRU eviction: a byte budget on that cache
-//     (BatchOptions::cache_budget_bytes, by default one max_n table pair)
+//     (BatchOptions::cache_budget_bytes, by default one max_n entry)
 //     evicts least-recently-used entries after each solve instead of the
 //     all-or-nothing release_scratch(), so a long-lived service bounds
 //     table residency while hot keys stay cached;
@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "analysis/segment_tables.hpp"
-#include "chain/weight_table.hpp"
 #include "core/cancellation.hpp"
 #include "core/optimizer.hpp"
 #include "core/plan_cache.hpp"
@@ -77,13 +76,12 @@ struct BatchJob {
 };
 
 /// The default byte budget of both BatchSolver caches: the resident bytes
-/// of one rowful (WeightTable, SegmentTables) pair at
-/// DpContext::kDefaultMaxN, ~46.5 MiB.  One max_n entry always fits, so a
-/// checkpoint-price sweep at max_n still shares its tables and an ADMV
-/// row upgrade still finds the entry an ADV* job left; at typical service
-/// sizes (n ~ 300) dozens of recent entries stay hot.
+/// of one rowful SegmentTables at DpContext::kDefaultMaxN, ~40.3 MiB.
+/// One max_n entry always fits, so a checkpoint-price sweep at max_n
+/// still shares its tables and an ADMV row upgrade still finds the entry
+/// an ADV* job left; at typical service sizes (n ~ 300) dozens of recent
+/// entries stay hot.
 inline constexpr std::size_t kDefaultCacheBudgetBytes =
-    chain::WeightTable::resident_bytes_for(DpContext::kDefaultMaxN) +
     analysis::SegmentTables::resident_bytes_for(DpContext::kDefaultMaxN,
                                                 /*rows=*/true);
 
@@ -126,9 +124,9 @@ struct BatchOptions {
 /// Counters accumulated over the solver's lifetime.
 struct BatchStats {
   std::size_t jobs_solved = 0;
-  /// Distinct (WeightTable, SegmentTables) pairs constructed.
+  /// Distinct SegmentTables constructed.
   std::size_t tables_built = 0;
-  /// DP jobs served by a previously built pair (same batch or earlier).
+  /// DP jobs served by previously built tables (same batch or earlier).
   std::size_t tables_reused = 0;
   /// Cache entries dropped by the LRU budget, and their bytes.
   std::size_t tables_evicted = 0;
@@ -152,9 +150,8 @@ struct BatchStats {
   /// resumes skipped instead of re-executing.
   std::size_t checkpoints_resumed = 0;
   std::size_t checkpoint_slabs_skipped = 0;
-  /// Row upgrades: an ADMV job hit a rowless entry, kept its WeightTable
-  /// and rebuilt the SegmentTables with rows.  Counted inside
-  /// tables_built.
+  /// Row upgrades: an ADMV job hit a rowless entry and rebuilt its
+  /// SegmentTables with rows.  Counted inside tables_built.
   std::size_t tables_patched = 0;
   /// Fresh solves whose objective exceeded the plan cache's warm upper
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
@@ -242,7 +239,6 @@ class BatchSolver {
 
  private:
   struct TableEntry {
-    std::shared_ptr<const chain::WeightTable> table;
     std::shared_ptr<const analysis::SegmentTables> seg;
     /// LRU stamp: value of use_tick_ at the entry's last touch.  The
     /// cache is small (one entry per distinct workload shape), so

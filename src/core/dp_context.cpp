@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "chain/weight_table.hpp"
 #include "util/assert.hpp"
 
 namespace chainckpt::core {
@@ -27,26 +28,22 @@ DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
                      std::size_t max_n, bool build_row_tables)
     : chain_(std::move(chain)), costs_(std::move(costs)) {
   check_context(chain_, costs_, max_n);
-  table_ = std::make_shared<const chain::WeightTable>(
-      chain_, costs_.lambda_f(), costs_.lambda_s());
   seg_tables_ = std::make_shared<const analysis::SegmentTables>(
-      *table_, costs_, build_row_tables);
+      chain::WeightTable(chain_, costs_.lambda_f(), costs_.lambda_s()),
+      costs_, build_row_tables);
 }
 
 DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
-                     std::shared_ptr<const chain::WeightTable> table,
                      std::shared_ptr<const analysis::SegmentTables> seg_tables,
                      std::size_t max_n)
     : chain_(std::move(chain)),
       costs_(std::move(costs)),
-      table_(std::move(table)),
       seg_tables_(std::move(seg_tables)) {
   check_context(chain_, costs_, max_n);
-  CHAINCKPT_REQUIRE(table_ != nullptr && seg_tables_ != nullptr,
+  CHAINCKPT_REQUIRE(seg_tables_ != nullptr,
                     "shared-table DpContext needs non-null tables");
-  CHAINCKPT_REQUIRE(
-      table_->n() == chain_.size() && seg_tables_->n() == chain_.size(),
-      "shared tables were built for a different chain length");
+  CHAINCKPT_REQUIRE(seg_tables_->n() == chain_.size(),
+                    "shared tables were built for a different chain length");
 }
 
 }  // namespace chainckpt::core

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/segment_math.hpp"
 #include "core/cancellation.hpp"
 #include "core/level_dp.hpp"
 #include "util/arena.hpp"

@@ -12,9 +12,9 @@
 //
 //   * shape_key(algorithm, chain): the algorithm, n, and the weights --
 //     the plan cache's near-miss candidate index;
-//   * table_key(chain, costs): everything a WeightTable + SegmentTables
-//     build reads -- n, the two rates, the planning law, the weights, and
-//     the two per-position verification-cost streams;
+//   * table_key(chain, costs): everything a SegmentTables build reads --
+//     n, the two rates, the planning law, the weights, and the two
+//     per-position verification-cost streams;
 //   * solve_key(algorithm, chain, costs): everything the algorithm's DP
 //     reads -- the table inputs plus the checkpoint and recovery streams,
 //     and, for kADMV alone, the partial-verification stream and recall.
@@ -82,9 +82,9 @@ inline void append_model_and_weights(std::vector<std::uint64_t>& bits,
 
 }  // namespace detail
 
-/// Key of the coefficient-table pair.  The checkpoint/recovery streams and
+/// Key of the coefficient tables.  The checkpoint/recovery streams and
 /// the recall are read per job at solve time, never baked into the
-/// tables, so jobs differing only there share one pair.
+/// tables, so jobs differing only there share one build.
 inline SolveKey table_key(const chain::TaskChain& chain,
                           const platform::CostModel& costs) {
   SolveKey key;

@@ -34,7 +34,7 @@
 //     is calibrated (service/admission.hpp);
 //   * bounded memory: the table and plan caches inherit BatchSolver's
 //     LRU budgets (BatchOptions::cache_budget_bytes and
-//     plan_cache_budget_bytes, one max_n table pair each by default),
+//     plan_cache_budget_bytes, one max_n table entry each by default),
 //     interruption checkpoints are bounded by
 //     BatchOptions::checkpoint_budget_bytes (unbounded by default), and
 //     release_scratch() remains available at quiescent points.

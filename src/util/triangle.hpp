@@ -1,11 +1,11 @@
 // Packed upper-triangle storage for the O(n^2) interval tables.
 //
-// chain::WeightTable and analysis::SegmentTables hold one value per
-// interval (i, j] with 0 <= i <= j <= n -- (n+1)(n+2)/2 cells, not the
-// (n+1)^2 of a square.  A stream is packed either by column (column j
-// holds i in [0, j] contiguously) or by row (row i holds j in [i, n]
-// contiguously); the offsets below return the pointer bias that keeps
-// every view indexed by the absolute endpoint:
+// analysis::SegmentTables holds one value per interval (i, j] with
+// 0 <= i <= j <= n -- (n+1)(n+2)/2 cells, not the (n+1)^2 of a square.
+// A stream is packed either by column (column j holds i in [0, j]
+// contiguously) or by row (row i holds j in [i, n] contiguously); the
+// offsets below return the pointer bias that keeps every view indexed by
+// the absolute endpoint:
 //
 //   col view of column j:  base + triangle_col(j),    valid for i in [0, j]
 //   row view of row i:     base + triangle_row(i, n), valid for j in [i, n]

@@ -36,26 +36,14 @@ class ParallelismGuard {
   ~ParallelismGuard() { util::set_parallelism(0); }
 };
 
-struct Tables {
-  std::unique_ptr<chain::WeightTable> table;
-  std::unique_ptr<SegmentTables> seg;
-};
-
-Tables build_at(int workers, const chain::TaskChain& chain,
-                const platform::CostModel& costs, bool rows) {
+std::unique_ptr<SegmentTables> build_at(int workers,
+                                        const chain::TaskChain& chain,
+                                        const platform::CostModel& costs,
+                                        bool rows) {
   const ParallelismGuard guard(workers);
-  Tables out;
-  out.table = std::make_unique<chain::WeightTable>(chain, costs.lambda_f(),
-                                                   costs.lambda_s());
-  out.seg = std::make_unique<SegmentTables>(*out.table, costs, rows);
-  return out;
-}
-
-void expect_same(const Tables& serial, const Tables& parallel,
-                 const std::string& what) {
-  table_bytes::expect_same_weight_tables(*serial.table, *parallel.table,
-                                         what);
-  table_bytes::expect_same_segment_tables(*serial.seg, *parallel.seg, what);
+  return std::make_unique<SegmentTables>(
+      chain::WeightTable(chain, costs.lambda_f(), costs.lambda_s()), costs,
+      rows);
 }
 
 platform::Platform amplified_hera() {
@@ -143,22 +131,22 @@ TEST(ParallelTableBuild, FullBuildsAreByteIdenticalAtAnyWorkerCount) {
       const platform::CostModel all_cliffs =
           with_law(cliff_vg(p, n, 0, n), weibull);
       for (const bool rows : {false, true}) {
-        expect_same(build_at(1, chain, uniform, rows),
-                    build_at(kWorkers, chain, uniform, rows),
-                    label(weibull, n, rows, "uniform costs"));
+        table_bytes::expect_same_segment_tables(
+            *build_at(1, chain, uniform, rows),
+            *build_at(kWorkers, chain, uniform, rows),
+            label(weibull, n, rows, "uniform costs"));
         for (const auto* costs : {&middle_cliffs, &all_cliffs}) {
-          const Tables serial = build_at(1, chain, *costs, rows);
-          expect_same(serial, build_at(kWorkers, chain, *costs, rows),
-                      label(weibull, n, rows, "V* cliffs"));
+          const auto serial = build_at(1, chain, *costs, rows);
+          table_bytes::expect_same_segment_tables(
+              *serial, *build_at(kWorkers, chain, *costs, rows),
+              label(weibull, n, rows, "V* cliffs"));
           table_bytes::expect_same_certificate(
-              serial.seg->verify_quadrangle(),
-              serial_certificate(*serial.seg),
+              serial->verify_quadrangle(), serial_certificate(*serial),
               label(weibull, n, rows, "certificate vs serial oracle"));
         }
         if (n == 300) {
-          const Tables parallel =
-              build_at(kWorkers, chain, middle_cliffs, rows);
-          const QiCertificate& cert = parallel.seg->verify_quadrangle();
+          const auto parallel = build_at(kWorkers, chain, middle_cliffs, rows);
+          const QiCertificate& cert = parallel->verify_quadrangle();
           EXPECT_GT(cert.violating_cells, 0u) << label(weibull, n, rows, "");
           EXPECT_FALSE(cert.row_ok(0)) << label(weibull, n, rows, "");
           EXPECT_TRUE(cert.row_ok(n - 1)) << label(weibull, n, rows, "");

@@ -14,35 +14,11 @@
 #include <string>
 
 #include "analysis/segment_tables.hpp"
-#include "chain/weight_table.hpp"
 
 namespace chainckpt::analysis::table_bytes {
 
 inline bool same_doubles(const double* a, const double* b, std::size_t count) {
   return std::memcmp(a, b, count * sizeof(double)) == 0;
-}
-
-/// Every em1_f / em1_s cell (i, j), 0 <= i <= j <= n, and the rates.
-inline void expect_same_weight_tables(const chain::WeightTable& a,
-                                      const chain::WeightTable& b,
-                                      const std::string& what) {
-  ASSERT_EQ(a.n(), b.n()) << what;
-  const double ra[] = {a.lambda_f(), a.lambda_s()};
-  const double rb[] = {b.lambda_f(), b.lambda_s()};
-  EXPECT_TRUE(same_doubles(ra, rb, 2)) << what << ": rates";
-  for (std::size_t i = 0; i <= a.n(); ++i) {
-    for (std::size_t j = i; j <= a.n(); ++j) {
-      const double af = a.em1_f(i, j), bf = b.em1_f(i, j);
-      const double as = a.em1_s(i, j), bs = b.em1_s(i, j);
-      const double aw = a.weight(i, j), bw = b.weight(i, j);
-      EXPECT_TRUE(same_doubles(&af, &bf, 1))
-          << what << ": em1_f(" << i << ", " << j << ")";
-      EXPECT_TRUE(same_doubles(&as, &bs, 1))
-          << what << ": em1_s(" << i << ", " << j << ")";
-      EXPECT_TRUE(same_doubles(&aw, &bw, 1))
-          << what << ": weight(" << i << ", " << j << ")";
-    }
-  }
 }
 
 using StreamView = const double* (SegmentTables::*)(std::size_t) const noexcept;

@@ -149,13 +149,12 @@ ScanStats check_pruned_case(const PrunedCase& c,
   const auto chain =
       chain::make_random(c.n, 25000.0 * static_cast<double>(c.n), rng);
   const bool rows = c.algorithm == Algorithm::kADMV;
-  auto table = std::make_shared<const chain::WeightTable>(
-      chain, costs.lambda_f(), costs.lambda_s());
-  auto seg =
-      std::make_shared<const analysis::SegmentTables>(*table, costs, rows);
-  DpContext dense_ctx(chain, costs, table, seg);
+  auto seg = std::make_shared<const analysis::SegmentTables>(
+      chain::WeightTable(chain, costs.lambda_f(), costs.lambda_s()), costs,
+      rows);
+  DpContext dense_ctx(chain, costs, seg);
   dense_ctx.set_scan_mode(ScanMode::kDense);
-  DpContext pruned_ctx(chain, costs, table, seg);
+  DpContext pruned_ctx(chain, costs, seg);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
   const auto dense = optimize(c.algorithm, dense_ctx);
   const auto pruned = optimize(c.algorithm, pruned_ctx);

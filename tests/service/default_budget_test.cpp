@@ -21,13 +21,12 @@ namespace {
 
 using core::Algorithm;
 
-/// resident_bytes() of a cached (WeightTable, SegmentTables) pair.
-std::size_t pair_bytes(std::size_t n, bool rows) {
-  return chain::WeightTable::resident_bytes_for(n) +
-         analysis::SegmentTables::resident_bytes_for(n, rows);
+/// resident_bytes() of a cached table entry: its SegmentTables alone.
+std::size_t entry_bytes(std::size_t n, bool rows) {
+  return analysis::SegmentTables::resident_bytes_for(n, rows);
 }
 
-TEST(DefaultCacheBudget, HoldsOneRowfulTablePairAtMaxN) {
+TEST(DefaultCacheBudget, HoldsOneRowfulEntryAtMaxN) {
   const std::size_t n = core::DpContext::kDefaultMaxN;
   const platform::CostModel costs{platform::hera()};
   const chain::WeightTable table(chain::make_uniform(n, 25000.0),
@@ -35,17 +34,26 @@ TEST(DefaultCacheBudget, HoldsOneRowfulTablePairAtMaxN) {
   const analysis::SegmentTables rowful(table, costs, /*build_rows=*/true);
   const analysis::SegmentTables rowless(table, costs, /*build_rows=*/false);
   // The size formulas the default is derived from match the built tables.
-  EXPECT_EQ(table.resident_bytes(), chain::WeightTable::resident_bytes_for(n));
   EXPECT_EQ(rowful.resident_bytes(),
             analysis::SegmentTables::resident_bytes_for(n, true));
   EXPECT_EQ(rowless.resident_bytes(),
             analysis::SegmentTables::resident_bytes_for(n, false));
 
   const core::BatchOptions defaults;
-  EXPECT_LE(table.resident_bytes() + rowful.resident_bytes(),
-            defaults.cache_budget_bytes);
+  EXPECT_EQ(rowful.resident_bytes(), defaults.cache_budget_bytes);
   EXPECT_EQ(defaults.cache_budget_bytes, core::kDefaultCacheBudgetBytes);
   EXPECT_EQ(defaults.plan_cache_budget_bytes, core::kDefaultCacheBudgetBytes);
+}
+
+TEST(DefaultCacheBudget, ACachedEntryIsItsSegmentTablesAlone) {
+  // The interval exponentials are evaluated on demand, so an entry holds
+  // no O(n^2) storage beyond its SegmentTables streams.
+  constexpr std::size_t n = 600;
+  core::BatchSolver solver;
+  solver.solve_job({Algorithm::kADVstar, chain::make_uniform(n, 25000.0),
+                    platform::CostModel{platform::hera()}});
+  EXPECT_EQ(solver.cache_resident_bytes(),
+            analysis::SegmentTables::resident_bytes_for(n, false));
 }
 
 TEST(DefaultCacheBudget, DefaultServiceEvictsTablesAndStaysBitwise) {
@@ -53,7 +61,7 @@ TEST(DefaultCacheBudget, DefaultServiceEvictsTablesAndStaysBitwise) {
   // rowless ADV* entries together exceed the default budget.
   constexpr std::size_t n = 600;
   const std::size_t keys =
-      core::kDefaultCacheBudgetBytes / pair_bytes(n, false) + 2;
+      core::kDefaultCacheBudgetBytes / entry_bytes(n, false) + 2;
   const platform::CostModel costs{platform::hera()};
   std::vector<core::BatchJob> jobs;
   for (std::size_t k = 0; k < keys; ++k) {
@@ -79,7 +87,7 @@ TEST(DefaultCacheBudget, DefaultServiceEvictsTablesAndStaysBitwise) {
   EXPECT_EQ(stats.solver.tables_built, keys);
   EXPECT_GT(stats.solver.tables_evicted, 0u);
   EXPECT_EQ(stats.solver.evicted_bytes,
-            stats.solver.tables_evicted * pair_bytes(n, false));
+            stats.solver.tables_evicted * entry_bytes(n, false));
   // One round of unique plans is far below the plan budget.
   EXPECT_EQ(stats.plan_cache.evictions, 0u);
 }
@@ -95,26 +103,26 @@ TEST(DefaultCacheBudget, TableByteTotalFollowsRowUpgradesAndEvictions) {
   solver.solve_job({Algorithm::kADVstar, small, costs});
   solver.solve_job({Algorithm::kADVstar, large, costs});
   EXPECT_EQ(solver.cache_resident_bytes(),
-            pair_bytes(30, false) + pair_bytes(40, false));
+            entry_bytes(30, false) + entry_bytes(40, false));
 
   // The row upgrade swaps the small entry's rowless SegmentTables for
-  // rowful ones and keeps its WeightTable.
+  // rowful ones.
   solver.solve_job({Algorithm::kADMV, small, costs});
   EXPECT_EQ(solver.stats().tables_patched, 1u);
   EXPECT_EQ(solver.cache_resident_bytes(),
-            pair_bytes(30, true) + pair_bytes(40, false));
+            entry_bytes(30, true) + entry_bytes(40, false));
 
   // The large entry is now the least recently used.
   const std::size_t freed =
       solver.evict_to(solver.cache_resident_bytes() - 1);
-  EXPECT_EQ(freed, pair_bytes(40, false));
-  EXPECT_EQ(solver.cache_resident_bytes(), pair_bytes(30, true));
+  EXPECT_EQ(freed, entry_bytes(40, false));
+  EXPECT_EQ(solver.cache_resident_bytes(), entry_bytes(30, true));
   EXPECT_EQ(solver.stats().evicted_bytes, freed);
 
   solver.release_scratch();
   EXPECT_EQ(solver.cache_resident_bytes(), 0u);
   solver.solve_job({Algorithm::kADVstar, large, costs});
-  EXPECT_EQ(solver.cache_resident_bytes(), pair_bytes(40, false));
+  EXPECT_EQ(solver.cache_resident_bytes(), entry_bytes(40, false));
 }
 
 TEST(DefaultCacheBudget, PlanByteTotalIgnoresReinsertsAndReconciles) {
